@@ -16,10 +16,8 @@ quadrature.
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power
 from .errors import FeasibilityError
 from .optimize import (
-    FeasibilityBounds,
     OptimalDesign,
     best_upsilon,
-    feasibility_bounds,
     max_beams,
     max_upsilon,
     min_upsilon,
@@ -30,30 +28,23 @@ from .optimize import (
 )
 from .params import SystemParams, snr_gamma
 from .performance import (
-    CyclePerformance,
     NormalizedDesign,
-    PowerProfile,
     avg_power_closed,
     avg_rate_closed,
-    cycle_performance,
     denormalize,
-    instantaneous_rate,
     norm_comm_width,
     norm_power,
     norm_power_budget,
     norm_rate,
     normalize,
     waterfilling_power,
-    waterfilling_profile,
 )
 from .sweep import (
     SweepSchedule,
-    UncertaintyInterval,
     build_schedule,
     comm_width,
     cycle_duration,
     min_u_th,
-    uncertainty_after,
     validate_small_angle,
 )
 from .validation import (
@@ -76,17 +67,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineConfig",
     "CheckResult",
-    "CyclePerformance",
-    "FeasibilityBounds",
     "FeasibilityError",
     "NormalizedDesign",
     "OptimalDesign",
-    "PowerProfile",
     "SpeedProcess",
     "SweepSchedule",
     "SystemParams",
     "TrajectoryResult",
-    "UncertaintyInterval",
     "avg_power_closed",
     "avg_power_numeric",
     "avg_rate_closed",
@@ -97,10 +84,7 @@ __all__ = [
     "comm_width",
     "coverage_suite",
     "cycle_duration",
-    "cycle_performance",
     "denormalize",
-    "feasibility_bounds",
-    "instantaneous_rate",
     "jensen_check",
     "max_beams",
     "max_upsilon",
@@ -122,9 +106,7 @@ __all__ = [
     "slope_sign_suite",
     "snr_gamma",
     "tight_zeta",
-    "uncertainty_after",
     "validate_small_angle",
     "waterfilling_power",
-    "waterfilling_profile",
     "write_report",
 ]

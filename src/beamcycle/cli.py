@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -87,11 +87,7 @@ def _parse_config_file(path: str) -> dict:
             val = val.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "axis":
-                values[key] = val
-            elif key == "values":
-                values[key] = val
-            elif key == "out":
+            if key in ("axis", "values", "out"):
                 values[key] = val
             elif key == "seed":
                 values[key] = int(val)
@@ -112,13 +108,8 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return values
 
 
-def _build_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
-    """Merge defaults, config file, and flags.
-
-    Returns the config plus a flag marking a zero power budget, which the
-    optimize command reports as a degenerate design instead of an error
-    (the budget is replaced by a placeholder so SystemParams validates).
-    """
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Merge defaults, config file, and flags."""
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(_parse_config_file(args.config))
@@ -135,9 +126,11 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
     if getattr(args, "pt", None) is not None:
         cfg["pt"] = args.pt
 
-    zero_power = cfg["p_max"] <= 0.0
-    if zero_power:
-        cfg["p_max"] = 1.0
+    if args.command == "optimize" and cfg["p_max"] == 0.0:
+        # optimize reports every effectively zero budget as the zero-rate
+        # design (see cmd_optimize). SystemParams holds positive budgets
+        # only, so zero becomes the smallest one, which that branch takes.
+        cfg["p_max"] = math.ulp(0.0)
     phi = cfg.get("phi", 2.0 * cfg["vmax"])
     params = SystemParams(
         w_tot=cfg["w_tot"],
@@ -163,7 +156,7 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
         v_max=phi / 2.0,
         p_t=cfg.get("pt", 1.0),
     )
-    config = RunConfig(
+    return RunConfig(
         params=params,
         sweep_axis=axis,
         axis_values=values,
@@ -171,7 +164,6 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
         output_path=cfg.get("out"),
         seed=int(cfg.get("seed", 0)),
     )
-    return config, zero_power
 
 
 def _fmt(value: float) -> str:
@@ -201,9 +193,9 @@ def _design_record(config: RunConfig, design: OptimalDesign) -> dict:
     }
 
 
-def cmd_optimize(config: RunConfig, as_json: bool, zero_power: bool = False) -> int:
+def cmd_optimize(config: RunConfig, as_json: bool) -> int:
     params = config.params
-    if zero_power or norm_power_budget(params) < 1e-9:
+    if norm_power_budget(params) < 1e-9:
         print(
             "warning: power budget is effectively zero; reporting the "
             "degenerate zero-rate design",
@@ -266,8 +258,7 @@ def _sweep_point(config: RunConfig, value: float) -> dict:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(config, v), config.axis_values))
+    rows = [_sweep_point(config, value) for value in config.axis_values]
     if config.sweep_axis == "power":
         se = [row["se_proposed"] for row in rows]
         if any(b <= a for a, b in zip(se, se[1:])):
@@ -290,6 +281,9 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
+    for flag in ("tuples", "trajectories", "profiles"):
+        if getattr(args, flag) <= 0:
+            raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)}")
     results = run_all(
         config.params,
         seed=config.seed,
@@ -371,11 +365,9 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        config, zero_power = _build_config(args)
+        config = _build_config(args)
         if args.command == "optimize":
-            return cmd_optimize(config, args.json, zero_power)
-        if zero_power:
-            raise ValueError("p_max must be strictly positive")
+            return cmd_optimize(config, args.json)
         if args.command == "sweep":
             return cmd_sweep(config)
         if args.command == "verify":

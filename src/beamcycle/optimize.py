@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import FeasibilityError
-from .params import SystemParams, snr_gamma
+from .params import SystemParams
 from .performance import (
+    NormalizedDesign,
     avg_power_closed,
     avg_rate_closed,
+    denormalize,
     norm_comm_width,
     norm_power,
     norm_power_budget,
@@ -48,26 +50,9 @@ def max_upsilon(n_beams: int, p_hat_max: float) -> float:
     if p_hat_max <= 0.0:
         raise ValueError(f"p_hat_max must be positive, got {p_hat_max!r}")
     n = float(n_beams)
-    shrink = (n * n + 3.0 * n - 2.0) / (2.0 * (n - 1.0))
-    return shrink + n * p_hat_max / (n - 1.0) * (
+    return trigger_width_branches(n_beams)[0] + n * p_hat_max / (n - 1.0) * (
         1.0 + math.sqrt(1.0 + 2.0 * n / p_hat_max)
     )
-
-
-@dataclass(frozen=True)
-class FeasibilityBounds:
-    """Feasible upsilon window for one beam count."""
-
-    n_beams: int
-    upsilon_min: float
-    upsilon_max: float
-    feasible: bool
-
-
-def feasibility_bounds(n_beams: int, p_hat_max: float) -> FeasibilityBounds:
-    lo = min_upsilon(n_beams)
-    hi = max_upsilon(n_beams, p_hat_max)
-    return FeasibilityBounds(n_beams, lo, hi, feasible=lo <= hi)
 
 
 def beam_count_threshold(n_beams: int) -> float:
@@ -93,7 +78,7 @@ def max_beams(p_hat_max: float) -> int:
     while beam_count_threshold(n) <= p_hat_max:
         n += 1
         if n > _MAX_BEAMS_CAP:
-            raise RuntimeError(
+            raise ValueError(
                 f"beam count search exceeded {_MAX_BEAMS_CAP}; "
                 f"p_hat_max = {p_hat_max} is implausibly large"
             )
@@ -138,7 +123,7 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     interval between the shrinkage bound and ``max_upsilon``.
     """
     n = float(n_beams)
-    shrink = (n * n + 3.0 * n - 2.0) / (2.0 * (n - 1.0))
+    shrink = trigger_width_branches(n_beams)[0]
     if upsilon <= shrink:
         raise ValueError(
             f"upsilon = {upsilon} at or below the shrinkage bound {shrink}"
@@ -166,9 +151,7 @@ def slope_root(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
             f"{n_beams} beams infeasible at normalized budget {p_hat_max} "
             f"(max {max_beams(p_hat_max)})"
         )
-    n = float(n_beams)
-    shrink = (n * n + 3.0 * n - 2.0) / (2.0 * (n - 1.0))
-    lo = shrink * (1.0 + _BRACKET_EPS)
+    lo = trigger_width_branches(n_beams)[0] * (1.0 + _BRACKET_EPS)
     hi = max_upsilon(n_beams, p_hat_max)
     f_lo = rate_slope(lo, n_beams, p_hat_max)
     f_hi = rate_slope(hi, n_beams, p_hat_max)
@@ -234,9 +217,9 @@ def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:
             best = (n, ups, rate)
     n_star, ups_star, _ = best
     zeta_star = tight_zeta(ups_star, n_star, p_hat_max)
-    step = params.delta_s * params.phi
-    u_th_star = ups_star * step
-    rho_star = (1.0 + zeta_star) * step * ups_star / (params.d * snr_gamma(params))
+    u_th_star, rho_star = denormalize(
+        params, NormalizedDesign(n_star, ups_star, zeta_star, feasible=True)
+    )
     return OptimalDesign(
         n_beams=n_star,
         upsilon=ups_star,

@@ -30,46 +30,11 @@ LN2 = math.log(2.0)
 _EPS = 1e-9
 
 
-def instantaneous_rate(params: SystemParams, p_t: float, omega_t: float) -> float:
-    """Shannon rate (bit/s) of a beam of width ``omega_t`` rad at power ``p_t``."""
-    if omega_t <= 0.0:
-        raise ValueError(f"beamwidth must be positive, got {omega_t!r}")
-    if p_t < 0.0:
-        raise ValueError(f"power must be nonnegative, got {p_t!r}")
-    return params.w_tot * math.log2(1.0 + snr_gamma(params) * p_t / omega_t)
-
-
 def waterfilling_power(rho: float, u_t: float, d: float, gamma: float) -> float:
     """Water-filling power at uncertainty width ``u_t``: (rho - u_t/(d*gamma))+."""
     if min(rho, u_t, d, gamma) < 0.0:
         raise ValueError("waterfilling_power arguments must be nonnegative")
     return max(0.0, rho - u_t / (d * gamma))
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """Water-filling profile over the data phase [t_start, t_end]."""
-
-    rho: float      # water level, power units
-    t_start: float  # n_beams * delta_s, s
-    t_end: float    # cycle duration T, s
-
-
-def waterfilling_profile(
-    params: SystemParams, n_beams: int, u_th: float, rho: float
-) -> PowerProfile:
-    u_c = comm_width(params, u_th, n_beams)
-    gamma = snr_gamma(params)
-    floor = u_c / (params.d * gamma)
-    if rho < floor * (1.0 - _EPS):
-        raise ValueError(
-            f"water level rho = {rho} below the channel floor u_comm/(d*gamma) = {floor}"
-        )
-    return PowerProfile(
-        rho=rho,
-        t_start=n_beams * params.delta_s,
-        t_end=cycle_duration(params, u_th, n_beams),
-    )
 
 
 def _check_cycle_inputs(
@@ -212,26 +177,3 @@ def denormalize(params: SystemParams, design: NormalizedDesign) -> tuple[float, 
     rho = (1.0 + design.zeta) * step * design.upsilon / (params.d * snr_gamma(params))
     return u_th, rho
 
-
-@dataclass(frozen=True)
-class CyclePerformance:
-    """Physical and normalized average rate/power of one cycle."""
-
-    avg_rate: float    # bit/s
-    avg_power: float   # power units
-    norm_rate: float   # ln(2) * avg_rate / w_tot
-    norm_power: float  # d*gamma/(delta_s*phi) * avg_power
-
-
-def cycle_performance(
-    params: SystemParams, n_beams: int, u_th: float, rho: float
-) -> CyclePerformance:
-    """Evaluate both metric pairs for a physical design point."""
-    r_bar = avg_rate_closed(params, n_beams, u_th, rho)
-    p_bar = avg_power_closed(params, n_beams, u_th, rho)
-    return CyclePerformance(
-        avg_rate=r_bar,
-        avg_power=p_bar,
-        norm_rate=LN2 * r_bar / params.w_tot,
-        norm_power=params.d * snr_gamma(params) / (params.delta_s * params.phi) * p_bar,
-    )

@@ -20,41 +20,6 @@ from .errors import FeasibilityError
 from .params import SystemParams
 
 
-def uncertainty_after(u0: float, phi: float, dt: float) -> float:
-    """Uncertainty width after ``dt`` seconds without sweeping: u0 + phi*dt."""
-    if u0 < 0.0:
-        raise ValueError(f"width must be nonnegative, got {u0!r}")
-    if phi < 0.0:
-        raise ValueError(f"phi must be nonnegative, got {phi!r}")
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt!r}")
-    return u0 + phi * dt
-
-
-@dataclass(frozen=True)
-class UncertaintyInterval:
-    """Interval guaranteed to contain the user: center +/- width/2."""
-
-    center: float  # median estimated position, m
-    width: float   # uncertainty width, m
-
-    def __post_init__(self):
-        if self.width < 0.0:
-            raise ValueError(f"width must be nonnegative, got {self.width!r}")
-
-    def after(self, phi: float, dt: float) -> "UncertaintyInterval":
-        """Grown interval after ``dt`` seconds of drift-free motion."""
-        return UncertaintyInterval(self.center, uncertainty_after(self.width, phi, dt))
-
-    @property
-    def lo(self) -> float:
-        return self.center - 0.5 * self.width
-
-    @property
-    def hi(self) -> float:
-        return self.center + 0.5 * self.width
-
-
 def trigger_width_branches(n_beams: int) -> tuple[float, float]:
     """Lower bounds on u_th in units of delta_s*phi: (shrinkage, nonnegativity).
 

@@ -35,7 +35,7 @@ from .performance import (
     norm_rate,
     waterfilling_power,
 )
-from .sweep import SweepSchedule, build_schedule
+from .sweep import SweepSchedule, build_schedule, trigger_width_branches
 
 SPEED_KINDS = ("constant-extreme", "piecewise-constant-uniform", "bang-bang")
 
@@ -292,7 +292,8 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.n_failures == 0
+        """No failures among at least one case: a check that ran nothing proves nothing."""
+        return self.n_cases > 0 and self.n_failures == 0
 
 
 def write_report(results: Iterable[CheckResult], stream: TextIO) -> None:
@@ -490,7 +491,7 @@ def slope_sign_suite(
     worst = 0.0
     for budget in budgets:
         for n in range(2, max_beams(budget) + 1):
-            shrink = (n * n + 3.0 * n - 2.0) / (2.0 * (n - 1.0))
+            shrink = trigger_width_branches(n)[0]
             hi = max_upsilon(n, budget)
             bound_cases += 2
             if not rate_slope(shrink * (1.0 + 1e-9), n, budget) > 0.0:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,24 @@ class TestOptimize:
         assert code == 0
         assert "warning" in err
         assert "spectral_efficiency_bit_s_hz: 0" in out
+
+    def test_negative_power_budget_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--pmax", "-1")
+        assert code == 2
+        assert out == ""
+        assert "p_max" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "baseline"])
+    def test_zero_power_budget_rejected_elsewhere(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--pmax", "0")
+        assert code == 2
+        assert "p_max" in err
+
+    def test_beam_count_cap_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--pmax", "1e5")
+        assert code == 2
+        assert out == ""
+        assert "implausibly large" in err
 
     def test_csv_row_written(self, capsys, tmp_path):
         out_path = tmp_path / "design.csv"
@@ -138,6 +157,13 @@ class TestSweep:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("flag", ["--tuples", "--trajectories", "--profiles"])
+    def test_nonpositive_counts_rejected(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -197,3 +223,28 @@ def test_bad_flag_value_exit_2(capsys):
     code, _, err = run_cli(capsys, "optimize", "--phi", "-5")
     assert code == 2
     assert "error" in err
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli"
+
+# The benchmark's cli-defaults commands; their outputs must not change by a byte.
+CLI_DEFAULTS = {
+    "optimize": ["optimize"],
+    "optimize-json": ["optimize", "--json"],
+    "sweep-power": ["sweep", "--out"],
+    "sweep-speed": ["sweep", "--axis", "speed", "--out"],
+    "baseline": ["baseline"],
+}
+
+
+@pytest.mark.parametrize("kind", CLI_DEFAULTS)
+def test_defaults_match_golden_bytes(capsys, tmp_path, kind):
+    argv = CLI_DEFAULTS[kind]
+    csv_path = tmp_path / f"{kind}.csv"
+    if argv[-1] == "--out":
+        argv = [*argv, str(csv_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN_CLI / f"{kind}.stdout").read_bytes()
+    if "--out" in argv:
+        assert csv_path.read_bytes() == (GOLDEN_CLI / f"{kind}.csv").read_bytes()

@@ -11,9 +11,8 @@ from beamcycle import (
     avg_power_closed,
     avg_rate_closed,
     comm_width,
-    cycle_performance,
+    cycle_duration,
     denormalize,
-    instantaneous_rate,
     min_u_th,
     norm_comm_width,
     norm_power,
@@ -22,34 +21,10 @@ from beamcycle import (
     normalize,
     snr_gamma,
     waterfilling_power,
-    waterfilling_profile,
 )
 from beamcycle.performance import LN2
 
 from conftest import make_params
-
-
-class TestInstantaneousRate:
-    def test_zero_power(self, params):
-        assert instantaneous_rate(params, 0.0, 0.1) == 0.0
-
-    def test_snr_one_gives_full_bandwidth(self, params):
-        omega = 0.1
-        p = omega / snr_gamma(params)
-        assert instantaneous_rate(params, p, omega) == pytest.approx(
-            params.w_tot, rel=1e-12
-        )
-
-    def test_snr_three_gives_double(self, params):
-        omega = 0.1
-        p = 3.0 * omega / snr_gamma(params)
-        assert instantaneous_rate(params, p, omega) == pytest.approx(
-            2.0 * params.w_tot, rel=1e-12
-        )
-
-    def test_rejects_nonpositive_beamwidth(self, params):
-        with pytest.raises(ValueError):
-            instantaneous_rate(params, 1.0, 0.0)
 
 
 class TestWaterfilling:
@@ -69,20 +44,19 @@ class TestWaterfilling:
     def test_profile_validates_floor(self, params):
         u_th = 100 * params.delta_s * params.phi
         floor = comm_width(params, u_th, 2) / (params.d * snr_gamma(params))
-        profile = waterfilling_profile(params, 2, u_th, 2 * floor)
-        assert profile.t_start == 2 * params.delta_s
+        assert avg_power_closed(params, 2, u_th, 2 * floor) > 0.0
         with pytest.raises(ValueError, match="floor"):
-            waterfilling_profile(params, 2, u_th, 0.5 * floor)
+            avg_power_closed(params, 2, u_th, 0.5 * floor)
 
     def test_profile_power_decays_over_data_phase(self, params):
         u_th = 100 * params.delta_s * params.phi
         u_c = comm_width(params, u_th, 2)
         gamma = snr_gamma(params)
         rho = 0.9 * u_th / (params.d * gamma)
-        profile = waterfilling_profile(params, 2, u_th, rho)
-        times = np.linspace(profile.t_start, profile.t_end, 50)
-        widths = u_c + params.phi * (times - profile.t_start)
-        powers = [waterfilling_power(profile.rho, u, params.d, gamma) for u in widths]
+        t_start = 2 * params.delta_s
+        times = np.linspace(t_start, cycle_duration(params, u_th, 2), 50)
+        widths = u_c + params.phi * (times - t_start)
+        powers = [waterfilling_power(rho, u, params.d, gamma) for u in widths]
         assert all(b <= a for a, b in zip(powers, powers[1:]))
         assert powers[-1] == 0.0  # level below u_th leaves an idle tail
 
@@ -128,11 +102,12 @@ class TestClosedForms:
         for level in (1.25, 0.8, 0.6):
             rho = _rho_for_level(p, level * u_th)
             design = normalize(p, u_th, rho, 2)
-            perf = cycle_performance(p, 2, u_th, rho)
-            assert perf.norm_rate == pytest.approx(
+            assert LN2 * avg_rate_closed(p, 2, u_th, rho) / p.w_tot == pytest.approx(
                 norm_rate(2, design.upsilon, design.zeta), rel=1e-12
             )
-            assert perf.norm_power == pytest.approx(
+            # norm_power_budget scales p_max by the same factor as norm_power.
+            scale = norm_power_budget(p) / p.p_max
+            assert scale * avg_power_closed(p, 2, u_th, rho) == pytest.approx(
                 norm_power(2, design.upsilon, design.zeta), rel=1e-12
             )
             assert design.upsilon == pytest.approx(u_th / step, rel=1e-15)

@@ -5,54 +5,14 @@ from hypothesis import strategies as st
 
 from beamcycle import (
     FeasibilityError,
-    UncertaintyInterval,
     build_schedule,
     comm_width,
     cycle_duration,
     min_u_th,
-    uncertainty_after,
     validate_small_angle,
 )
 
 from conftest import make_params
-
-
-class TestUncertaintyAfter:
-    def test_linear_growth(self):
-        assert uncertainty_after(1.0, 10.0, 0.05) == 1.5
-
-    def test_zero_speed_uncertainty(self):
-        assert uncertainty_after(0.5, 0.0, 100.0) == 0.5
-
-    def test_zero_elapsed_time(self):
-        assert uncertainty_after(1.0, 10.0, 0.0) == 1.0
-
-    @pytest.mark.parametrize("u0,phi,dt", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
-    def test_negative_inputs_rejected(self, u0, phi, dt):
-        with pytest.raises(ValueError):
-            uncertainty_after(u0, phi, dt)
-
-    @given(
-        u0=st.floats(0, 1e3),
-        phi=st.floats(0, 1e3),
-        t1=st.floats(0, 1e3),
-        t2=st.floats(0, 1e3),
-    )
-    def test_growth_composes(self, u0, phi, t1, t2):
-        via = uncertainty_after(uncertainty_after(u0, phi, t1), phi, t2)
-        direct = uncertainty_after(u0, phi, t1 + t2)
-        assert via == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-
-class TestUncertaintyInterval:
-    def test_grows_symmetrically(self):
-        box = UncertaintyInterval(center=3.0, width=1.0).after(phi=2.0, dt=0.5)
-        assert box.width == 2.0
-        assert (box.lo, box.hi) == (2.0, 4.0)
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            UncertaintyInterval(center=0.0, width=-0.1)
 
 
 class TestMinTriggerWidth:
@@ -136,7 +96,7 @@ class TestBuildSchedule:
             assert a2 == pytest.approx(b1 - step / 2.0, rel=1e-12, abs=1e-300)
 
         # Cycle closes: width regrows from u_comm back to u_th at t_cycle.
-        regrown = uncertainty_after(s.u_comm, phi, s.t_cycle - n_beams * delta_s)
+        regrown = s.u_comm + phi * (s.t_cycle - n_beams * delta_s)
         assert regrown == pytest.approx(u_th, rel=1e-12)
 
     def test_shrinkage_equality_at_first_branch(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamcycle import (
+    CheckResult,
     SpeedProcess,
     avg_power_closed,
     avg_power_numeric,
@@ -163,6 +164,13 @@ class TestSuites:
     def test_slope_sign_suite_passes(self):
         for result in slope_sign_suite(budgets=(0.5, 5.0), n_points=10, seed=6):
             assert result.passed
+
+    def test_zero_cases_is_not_a_pass(self, params):
+        assert not CheckResult("empty", 0, 0, 0.0).passed
+        assert CheckResult("one", 1, 0, 0.0).passed
+        for result in quadrature_suite(params, n_tuples=0):
+            assert result.n_cases == 0
+            assert not result.passed
 
     def test_report_schema(self, params):
         results = slope_sign_suite(budgets=(1.0,), n_points=2, seed=0)
