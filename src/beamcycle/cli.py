@@ -6,8 +6,9 @@ can be overridden by a flag. The noise PSD is taken in dBm/Hz on this
 interface and converted to W/Hz internally. The sweep axis for speed is
 ``v_max`` with ``phi = 2 * v_max`` (symmetric speeds, zero drift).
 
-Exit codes: 0 success, 1 verification failures, 2 infeasible problem,
-3 I/O error.
+Exit codes: 0 success, 1 verification failures, 2 infeasible problem or
+invalid input (including a power sweep whose spectral efficiency does not
+strictly increase), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -262,9 +263,12 @@ def cmd_sweep(config: RunConfig) -> int:
     if config.sweep_axis == "power":
         se = [row["se_proposed"] for row in rows]
         if any(b <= a for a, b in zip(se, se[1:])):
-            raise RuntimeError(
+            # Budgets closer together than the optimizer's tolerance give
+            # equal efficiencies, so the grid is rejected as invalid input.
+            raise ValueError(
                 "spectral efficiency is not strictly increasing along the "
-                f"power axis: {se}"
+                f"power axis: {se}; --values closer than the optimizer's "
+                "tolerance cannot be told apart"
             )
     out = io.StringIO()
     out.write("axis_value,se_proposed,se_11ad,eta_star,u_th_star_m,p_bar\n")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the check helper shared across the package."""
+
+import numpy as np
 
 
 class FeasibilityError(ValueError):
@@ -13,3 +15,12 @@ class FeasibilityError(ValueError):
     def __init__(self, message: str, branch: str | None = None):
         super().__init__(message)
         self.branch = branch
+
+
+def _any(mask) -> bool:
+    """Whether a check fails anywhere: ``mask`` is a bool or a numpy bool array.
+
+    ``np.any`` would do for both, but costs microseconds on a plain bool,
+    which the scalar callers of the closed forms pay many times per check.
+    """
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FeasibilityError
+import numpy as np
+
+from .errors import FeasibilityError, _any
 from .params import SystemParams, snr_gamma
 from .sweep import comm_width, cycle_duration, min_u_th, trigger_width_branches
 
@@ -93,10 +95,13 @@ def avg_power_closed(
 
 
 def norm_comm_width(upsilon: float, n_beams: int) -> float:
-    """Post-sweep width in drift units: upsilon/n + n/2 + 3/2 - 1/n."""
-    if n_beams < 2:
+    """Post-sweep width in drift units: upsilon/n + n/2 + 3/2 - 1/n.
+
+    Elementwise when ``upsilon`` and ``n_beams`` are numpy arrays.
+    """
+    if _any(n_beams < 2):
         raise ValueError(f"need at least 2 sweeping beams, got {n_beams!r}")
-    n = float(n_beams)
+    n = n_beams
     return upsilon / n + n / 2.0 + 1.5 - 1.0 / n
 
 
@@ -107,10 +112,10 @@ def _check_normalized(n_beams: int, upsilon: float, zeta: float) -> float:
     is deliberately not required here: the per-beam-count optimizer
     evaluates these expressions below that bound before clamping.
     """
-    if upsilon <= 0.0:
+    if _any(upsilon <= 0.0):
         raise ValueError(f"upsilon must be positive, got {upsilon!r}")
     u_hat = norm_comm_width(upsilon, n_beams)
-    if zeta < (u_hat / upsilon - 1.0) - _EPS:
+    if _any(zeta < (u_hat / upsilon - 1.0) - _EPS):
         raise ValueError(
             f"zeta = {zeta} below the zero-power boundary {u_hat / upsilon - 1.0}"
         )
@@ -132,13 +137,16 @@ def norm_rate(n_beams: int, upsilon: float, zeta: float) -> float:
 
 
 def norm_power(n_beams: int, upsilon: float, zeta: float) -> float:
-    """Normalized average power: d*gamma/(delta_s*phi) times the physical one."""
+    """Normalized average power: d*gamma/(delta_s*phi) times the physical one.
+
+    Elementwise over numpy arrays of ``n_beams``, ``upsilon`` and ``zeta``.
+    """
     u_hat = _check_normalized(n_beams, upsilon, zeta)
-    n = float(n_beams)
+    n = n_beams
     pref = n / (2.0 * (n - 1.0) * (upsilon + n / 2.0 - 1.0))
     value = (upsilon - u_hat) * (2.0 * upsilon * (1.0 + zeta) - upsilon - u_hat)
-    if zeta < 0.0:
-        value += upsilon**2 * zeta**2
+    # Idle tail of the data phase: a term only below zero headroom.
+    value = value + upsilon**2 * np.minimum(zeta, 0.0) ** 2
     return pref * value
 
 

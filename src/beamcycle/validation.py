@@ -28,14 +28,19 @@ import numpy as np
 from .optimize import max_beams, max_upsilon, min_upsilon, rate_slope, tight_zeta
 from .params import SystemParams, snr_gamma
 from .performance import (
-    _check_cycle_inputs,
     avg_power_closed,
     avg_rate_closed,
     norm_comm_width,
     norm_rate,
     waterfilling_power,
 )
-from .sweep import SweepSchedule, build_schedule, trigger_width_branches
+from .sweep import (
+    SweepSchedule,
+    build_schedule,
+    comm_width,
+    cycle_duration,
+    trigger_width_branches,
+)
 
 SPEED_KINDS = ("constant-extreme", "piecewise-constant-uniform", "bang-bang")
 
@@ -212,6 +217,18 @@ def simulate_cycle(
 # ---------------------------------------------------------------------------
 
 
+def _cycle_terms(
+    params: SystemParams, n_beams: int, u_th: float
+) -> tuple[float, float, float]:
+    """(gamma, u_comm, T) of a design, from the public geometry."""
+    params.require_zero_drift()
+    return (
+        snr_gamma(params),
+        comm_width(params, u_th, n_beams),
+        cycle_duration(params, u_th, n_beams),
+    )
+
+
 def _refine_midpoint(f, a: float, b: float, rel_tol: float) -> float:
     """Composite midpoint with doubling and one Richardson extrapolation.
 
@@ -241,7 +258,7 @@ def avg_rate_numeric(
     rel_tol: float = 1e-9,
 ) -> float:
     """Cycle-averaged rate (bit/s) by direct quadrature of the rate integral."""
-    gamma, u_c, t_cycle = _check_cycle_inputs(params, n_beams, u_th, rho)
+    gamma, u_c, t_cycle = _cycle_terms(params, n_beams, u_th)
     t0 = n_beams * params.delta_s
     # The integrand is identically zero once the width outgrows the water
     # level (the (.)+ in the power), so that tail is skipped exactly.
@@ -264,7 +281,7 @@ def avg_power_numeric(
     rel_tol: float = 1e-9,
 ) -> float:
     """Cycle-averaged power by direct quadrature of the power integral."""
-    gamma, u_c, t_cycle = _check_cycle_inputs(params, n_beams, u_th, rho)
+    gamma, u_c, t_cycle = _cycle_terms(params, n_beams, u_th)
     t0 = n_beams * params.delta_s
     level = params.d * gamma * rho
     t_hi = t_cycle if level >= u_th else t0 + (level - u_c) / params.phi
@@ -321,7 +338,7 @@ def jensen_check(
     The water-filling profile itself, a constant profile, and a shuffled
     copy of the water-filling profile are included as fixed cases.
     """
-    gamma, u_c, t_cycle = _check_cycle_inputs(params, n_beams, u_th, rho)
+    gamma, u_c, t_cycle = _cycle_terms(params, n_beams, u_th)
     t0 = n_beams * params.delta_s
     t = t0 + (t_cycle - t0) * (np.arange(grid_points) + 0.5) / grid_points
     u = u_c + params.phi * (t - t0)

@@ -56,6 +56,15 @@ class TestOptimize:
         assert out == ""
         assert "implausibly large" in err
 
+    def test_one_watt_budget(self, capsys):
+        # About 8400 beam counts. The search bisects them all at once, in
+        # well under a second; with a max_beams scan per count it took 25 s.
+        code, out, _ = run_cli(capsys, "optimize", "--pmax", "1")
+        assert code == 0
+        record = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert record["n_beams"] == "3"
+        assert float(record["avg_power"]) == pytest.approx(1.0, rel=1e-8)
+
     def test_csv_row_written(self, capsys, tmp_path):
         out_path = tmp_path / "design.csv"
         code, _, _ = run_cli(capsys, "optimize", "--pmax", "1e-3", "--out", str(out_path))
@@ -143,6 +152,16 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--values", "2,1")
         assert code == 2
         assert "strictly increasing" in err
+
+    def test_unresolvable_power_grid_exit_2(self, capsys):
+        # One ulp apart: both budgets give the same spectral efficiency.
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "power", "--values", "0.001,0.0010000000000000002"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: spectral efficiency is not strictly increasing")
+        assert "Traceback" not in err
 
     def test_unwritable_path_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(

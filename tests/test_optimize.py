@@ -16,7 +16,8 @@ from beamcycle import (
     rate_slope,
     tight_zeta,
 )
-from beamcycle.optimize import beam_count_threshold
+from beamcycle.optimize import _MAX_BEAMS_CAP, beam_count_threshold
+from beamcycle.sweep import trigger_width_branches
 
 from conftest import make_params
 
@@ -67,6 +68,43 @@ class TestMaxBeams:
         counts = [max_beams(float(b)) for b in budgets]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert min(counts) >= 4
+
+    def test_matches_linear_scan_at_every_threshold(self):
+        thresholds = [beam_count_threshold(n) for n in range(5, 3001)]
+        budgets = sorted(
+            b
+            for t in thresholds
+            for b in (t, np.nextafter(t, 0.0), np.nextafter(t, np.inf))
+        )
+        assert [max_beams(float(b)) for b in budgets] == max_beams_scan(budgets)
+
+    def test_matches_linear_scan_on_random_budgets(self):
+        rng = np.random.default_rng(5)
+        budgets = sorted(10.0 ** rng.uniform(-4.0, 9.0, 2000))
+        assert [max_beams(float(b)) for b in budgets] == max_beams_scan(budgets)
+
+    def test_exact_at_thresholds_near_the_cap(self):
+        # Here the square root of the inversion can round below the answer
+        # (first at 881748 beams, budget exactly at its threshold).
+        for n in range(881_748, _MAX_BEAMS_CAP, 59):
+            t = beam_count_threshold(n)
+            assert max_beams(t) == n
+            assert max_beams(float(np.nextafter(t, 0.0))) == n - 1
+
+    def test_cap_raises_without_scanning(self, monkeypatch):
+        cap = beam_count_threshold(_MAX_BEAMS_CAP)
+        assert max_beams(float(np.nextafter(cap, 0.0))) == _MAX_BEAMS_CAP - 1
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return beam_count_threshold(n)
+
+        monkeypatch.setattr("beamcycle.optimize.beam_count_threshold", counted)
+        for budget in (cap, 1e300, math.inf):
+            with pytest.raises(ValueError, match="implausibly large"):
+                max_beams(budget)
+        assert len(calls) == 3
 
     def test_included_counts_are_feasible(self):
         for budget in (0.05, 0.5, 5.0, 50.0):
@@ -241,6 +279,55 @@ class TestOptimizeDesign:
         with pytest.raises(ValueError, match="drift"):
             optimize_design(make_params(v_drift=1.0))
 
+    @pytest.mark.parametrize("budget", np.logspace(-2, 6, 9))
+    def test_matches_per_count_bisection(self, budget):
+        base = make_params()
+        params = make_params(p_max=base.p_max * budget / norm_power_budget(base))
+        design = optimize_design(params)
+        expected = reference_candidates(norm_power_budget(params))
+        assert design.per_beam_count == expected
+        best = max(expected, key=lambda c: c[2])  # the first maximum: fewest beams
+        assert (design.n_beams, design.upsilon) == best[:2]
+
 
 def rates_of(design, n):
     return next(r for count, _, r in design.per_beam_count if count == n)
+
+
+def max_beams_scan(budgets):
+    """The linear scan that max_beams replaced, the reference for it.
+
+    One pass over ascending budgets: the scan for a larger budget runs
+    through every state of the scan for a smaller one.
+    """
+    counts = []
+    n = 5
+    for budget in budgets:
+        while beam_count_threshold(n) <= budget:
+            n += 1
+        counts.append(n - 1)
+    return counts
+
+
+def scalar_slope_root(n, budget, tol=1e-10):
+    """One beam count's bisection, with the scalar ``rate_slope``."""
+    lo = trigger_width_branches(n)[0] * (1.0 + 1e-9)
+    hi = max_upsilon(n, budget)
+    for _ in range(200):
+        if hi - lo <= tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if rate_slope(mid, n, budget) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_candidates(budget):
+    """``per_beam_count`` as a search bisecting one beam count at a time."""
+    candidates = []
+    for n in range(2, max_beams_scan([budget])[0] + 1):
+        ups = max(0.5 * (n - 1.0) * (n - 2.0), scalar_slope_root(n, budget))
+        candidates.append((n, ups, norm_rate(n, ups, tight_zeta(ups, n, budget))))
+    return tuple(candidates)
