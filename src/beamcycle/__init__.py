@@ -59,7 +59,6 @@ from .validation import (
     run_all,
     simulate_cycle,
     slope_sign_suite,
-    write_report,
 )
 
 __version__ = "0.1.0"
@@ -108,5 +107,4 @@ __all__ = [
     "tight_zeta",
     "validate_small_angle",
     "waterfilling_power",
-    "write_report",
 ]

@@ -22,12 +22,13 @@ class BaselineConfig:
     p_t: float = 1.0            # constant transmit power while communicating
 
     def __post_init__(self):
-        if self.beamwidth_deg <= 0.0:
-            raise ValueError(f"beamwidth_deg must be positive, got {self.beamwidth_deg!r}")
-        if self.v_max <= 0.0:
-            raise ValueError(f"v_max must be positive, got {self.v_max!r}")
-        if self.p_t < 0.0:
-            raise ValueError(f"p_t must be nonnegative, got {self.p_t!r}")
+        # Written so that NaN fails every check.
+        if not 0.0 < self.beamwidth_deg < 180.0:
+            raise ValueError(f"beamwidth_deg must be in (0, 180), got {self.beamwidth_deg!r}")
+        if not 0.0 < self.v_max < math.inf:
+            raise ValueError(f"v_max must be positive and finite, got {self.v_max!r}")
+        if not 0.0 <= self.p_t < math.inf:
+            raise ValueError(f"p_t must be nonnegative and finite, got {self.p_t!r}")
 
 
 def comm_fraction(params: SystemParams, cfg: BaselineConfig) -> float:

@@ -1,10 +1,11 @@
 """Command-line interface: optimize, sweep, verify, baseline.
 
 Configuration is a flat ``key = value`` text file whose keys match the
-SystemParams fields (``lambda`` is accepted for the wavelength); every key
-can be overridden by a flag. The noise PSD is taken in dBm/Hz on this
-interface and converted to W/Hz internally. The sweep axis for speed is
-``v_max`` with ``phi = 2 * v_max`` (symmetric speeds, zero drift).
+SystemParams fields (``lambda`` is accepted for the wavelength); every
+flag is named after the key it overrides, and a flag wins over the file.
+The noise PSD is taken in dBm/Hz on this interface and converted to W/Hz
+internally. The sweep axis for speed is ``v_max`` with ``phi = 2 * v_max``
+(symmetric speeds, zero drift).
 
 Exit codes: 0 success, 1 verification failures, 2 infeasible problem or
 invalid input (including a power sweep whose spectral efficiency does not
@@ -14,11 +15,10 @@ strictly increase), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power
@@ -27,7 +27,7 @@ from .optimize import OptimalDesign, optimize_design
 from .params import SystemParams
 from .performance import norm_power_budget
 from .sweep import cycle_duration, validate_small_angle
-from .validation import run_all, write_report
+from .validation import run_all
 
 # Scenario defaults; phi follows v_max unless set explicitly, and n0 is in
 # dBm/Hz at this boundary.
@@ -88,12 +88,11 @@ def _parse_config_file(path: str) -> dict:
             val = val.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in ("axis", "values", "out"):
-                values[key] = val
-            elif key == "seed":
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+            convert = {"axis": str, "values": str, "out": str, "seed": int}.get(key, float)
+            try:
+                values[key] = convert(val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -114,18 +113,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(_parse_config_file(args.config))
-    for key in ("phi", "vmax", "pmax", "seed", "out"):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg["p_max" if key == "pmax" else key] = flag
-    if getattr(args, "values", None) is not None:
-        cfg["values"] = args.values
-    if getattr(args, "axis", None) is not None:
-        cfg["axis"] = args.axis
-    if getattr(args, "beamwidth_deg", None) is not None:
-        cfg["beamwidth_deg"] = args.beamwidth_deg
-    if getattr(args, "pt", None) is not None:
-        cfg["pt"] = args.pt
+            cfg[key] = flag
 
     if args.command == "optimize" and cfg["p_max"] == 0.0:
         # optimize reports every effectively zero budget as the zero-rate
@@ -147,28 +138,33 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     axis = cfg.get("axis", "power")
     if axis not in ("power", "speed"):
         raise ValueError(f"axis must be 'power' or 'speed', got {axis!r}")
-    raw_values = cfg.get("values")
-    if raw_values is None:
-        values = _POWER_GRID if axis == "power" else _SPEED_GRID
+    if "values" in cfg:
+        values = _parse_values(cfg["values"])
     else:
-        values = _parse_values(raw_values) if isinstance(raw_values, str) else raw_values
-    baseline = BaselineConfig(
-        beamwidth_deg=cfg.get("beamwidth_deg", 7.0),
-        v_max=phi / 2.0,
-        p_t=cfg.get("pt", 1.0),
-    )
+        values = _POWER_GRID if axis == "power" else _SPEED_GRID
+    baseline = BaselineConfig(beamwidth_deg=cfg.get("beamwidth_deg", 7.0), v_max=phi / 2.0)
+    # Without a transmit power the baseline spends the same average power.
+    p_t = cfg["pt"] if "pt" in cfg else power_for_avg(params, baseline, params.p_max)
     return RunConfig(
         params=params,
         sweep_axis=axis,
         axis_values=values,
-        baseline=baseline,
+        baseline=replace(baseline, p_t=p_t),
         output_path=cfg.get("out"),
-        seed=int(cfg.get("seed", 0)),
+        seed=cfg.get("seed", 0),
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _cell(value) -> str:
+    """One value as written to stdout and CSV: floats to 12 significant digits."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _csv(rows: list[dict]) -> str:
+    """Header from the first row's keys, then one line per row."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(_cell(value) for value in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -177,6 +173,18 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _emit(config: RunConfig, record: dict, as_json: bool) -> int:
+    """Print one record as text or JSON, and as a one-row CSV with --out."""
+    if as_json:
+        print(json.dumps(record, indent=2))
+    else:
+        for key, value in record.items():
+            print(f"{key}: {_cell(value)}")
+    if config.output_path:
+        _write_text(config.output_path, _csv([record]))
+    return 0
 
 
 def _design_record(config: RunConfig, design: OptimalDesign) -> dict:
@@ -202,35 +210,12 @@ def cmd_optimize(config: RunConfig, as_json: bool) -> int:
             "degenerate zero-rate design",
             file=sys.stderr,
         )
-        record = {
-            "n_beams": 2,
-            "upsilon": 4.0,
-            "zeta": 0.0,
-            "u_th_m": 4.0 * params.delta_s * params.phi,
-            "rho": 0.0,
-            "t_cycle_s": cycle_duration(params, 4.0 * params.delta_s * params.phi, 2),
-            "spectral_efficiency_bit_s_hz": 0.0,
-            "avg_rate_bit_s": 0.0,
-            "avg_power": 0.0,
-        }
+        design = OptimalDesign(2, 4.0, 0.0, 4.0 * params.delta_s * params.phi, 0.0, 0.0, 0.0, ())
     else:
         design = optimize_design(params)
-        record = _design_record(config, design)
         for warning in validate_small_angle(params, design.u_th):
             print(f"warning: {warning}", file=sys.stderr)
-    if as_json:
-        print(json.dumps(record, indent=2))
-    else:
-        for key, value in record.items():
-            print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
-    if config.output_path:
-        keys = list(record)
-        rows = ",".join(keys) + "\n" + ",".join(
-            _fmt(record[k]) if isinstance(record[k], float) else str(record[k])
-            for k in keys
-        ) + "\n"
-        _write_text(config.output_path, rows)
-    return 0
+    return _emit(config, _design_record(config, design), as_json)
 
 
 def _sweep_point(config: RunConfig, value: float) -> dict:
@@ -270,17 +255,7 @@ def cmd_sweep(config: RunConfig) -> int:
                 f"power axis: {se}; --values closer than the optimizer's "
                 "tolerance cannot be told apart"
             )
-    out = io.StringIO()
-    out.write("axis_value,se_proposed,se_11ad,eta_star,u_th_star_m,p_bar\n")
-    for row in rows:
-        out.write(
-            ",".join(
-                _fmt(row[k]) if isinstance(row[k], float) else str(row[k])
-                for k in ("axis_value", "se_proposed", "se_11ad", "eta_star", "u_th_star_m", "p_bar")
-            )
-            + "\n"
-        )
-    _write_text(config.output_path, out.getvalue())
+    _write_text(config.output_path, _csv(rows))
     return 0
 
 
@@ -288,6 +263,10 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     for flag in ("tuples", "trajectories", "profiles"):
         if getattr(args, flag) <= 0:
             raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)}")
+    if not math.isfinite(args.perturb_closed_form):
+        raise ValueError(
+            f"--perturb-closed-form must be finite, got {args.perturb_closed_form}"
+        )
     results = run_all(
         config.params,
         seed=config.seed,
@@ -296,16 +275,12 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         n_traj=args.trajectories,
         n_profiles=args.profiles,
     )
-    out = io.StringIO()
-    write_report(results, out)
-    _write_text(config.output_path, out.getvalue())
+    _write_text(config.output_path, _csv([asdict(r) for r in results]))
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_baseline(config: RunConfig, args: argparse.Namespace, as_json: bool) -> int:
+def cmd_baseline(config: RunConfig, as_json: bool) -> int:
     cfg = config.baseline
-    if args.pt is None:
-        cfg = replace(cfg, p_t=power_for_avg(config.params, cfg, config.params.p_max))
     rate, p_bar = rate_and_power(config.params, cfg)
     record = {
         "beamwidth_deg": cfg.beamwidth_deg,
@@ -316,23 +291,19 @@ def cmd_baseline(config: RunConfig, args: argparse.Namespace, as_json: bool) -> 
         "avg_rate_bit_s": rate,
         "avg_power": p_bar,
     }
-    if as_json:
-        print(json.dumps(record, indent=2))
-    else:
-        for key, value in record.items():
-            print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
-    return 0
+    return _emit(config, record, as_json)
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    # Each flag's dest is the config key it overrides.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key = value config file")
     shared.add_argument("--phi", type=float, help="speed uncertainty v_max - v_min, m/s")
     shared.add_argument("--vmax", type=float, help="worst-case speed, m/s (phi = 2*vmax)")
-    shared.add_argument("--pmax", type=float, help="average power budget")
-    shared.add_argument("--seed", type=int, help="master seed for randomized checks")
+    shared.add_argument("--pmax", type=float, dest="p_max", help="average power budget")
     shared.add_argument("--out", help="output file path (default: stdout)")
-    shared.add_argument("--json", action="store_true", help="machine-readable output")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="machine-readable output")
 
     parser = argparse.ArgumentParser(
         prog="beamcycle",
@@ -341,13 +312,14 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("optimize", parents=[shared], help="rate-maximal cycle design")
+    sub.add_parser("optimize", parents=[shared, as_json], help="rate-maximal cycle design")
 
     sweep = sub.add_parser("sweep", parents=[shared], help="grid sweep to CSV")
     sweep.add_argument("--axis", choices=("power", "speed"), help="sweep axis")
     sweep.add_argument("--values", help="comma-separated, strictly increasing grid")
 
     verify = sub.add_parser("verify", parents=[shared], help="run verification suites")
+    verify.add_argument("--seed", type=int, help="master seed for randomized checks")
     verify.add_argument(
         "--perturb-closed-form",
         type=float,
@@ -360,7 +332,9 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--profiles", type=int, default=1000, help="random power profiles")
 
-    baseline = sub.add_parser("baseline", parents=[shared], help="fixed-beam comparison point")
+    baseline = sub.add_parser(
+        "baseline", parents=[shared, as_json], help="fixed-beam comparison point"
+    )
     baseline.add_argument("--beamwidth-deg", type=float, dest="beamwidth_deg")
     baseline.add_argument("--pt", type=float, help="constant transmit power")
     return parser
@@ -376,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(config)
         if args.command == "verify":
             return cmd_verify(config, args)
-        return cmd_baseline(config, args, args.json)
+        return cmd_baseline(config, args.json)
     except FeasibilityError as exc:
         print(f"error: infeasible problem: {exc}", file=sys.stderr)
         return 2

@@ -111,8 +111,13 @@ def tight_zeta(upsilon: float, n_beams: int, p_hat_max: float) -> float:
             f"upsilon = {upsilon} does not exceed the post-sweep width "
             f"{u_hat}; the power-tight headroom is singular there"
         )
-    slack = p_hat_max - norm_power(n_beams, upsilon, 0.0)
-    if _any(slack < -1e-12 * p_hat_max):
+    p_zero = norm_power(n_beams, upsilon, 0.0)
+    slack = p_hat_max - p_zero
+    # p_zero is a difference of terms larger by upsilon / (upsilon - u_hat),
+    # which is where its rounding comes from; at small budgets that ratio
+    # is large, so a tolerance relative to the budget alone would reject
+    # max_upsilon itself.
+    if _any(slack < -1e-12 * p_zero * upsilon / (upsilon - u_hat)):
         raise FeasibilityError(
             f"upsilon = {upsilon} needs more than the power budget even at "
             f"zero headroom (exceeds max_upsilon = {max_upsilon(n_beams, p_hat_max)})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -313,14 +313,6 @@ class CheckResult:
         return self.n_cases > 0 and self.n_failures == 0
 
 
-def write_report(results: Iterable[CheckResult], stream: TextIO) -> None:
-    stream.write("check_name,n_cases,n_failures,worst_residual\n")
-    for r in results:
-        stream.write(
-            f"{r.check_name},{r.n_cases},{r.n_failures},{r.worst_residual:.12g}\n"
-        )
-
-
 def jensen_check(
     params: SystemParams,
     n_beams: int,
@@ -356,8 +348,9 @@ def jensen_check(
         nonlocal worst, failures, n_cases
         rates = np.mean(np.log1p(gain[None, :] * profiles), axis=1)
         excess = rates - rate_wf
-        worst = max(worst, float(excess.max()))
-        failures += int(np.sum(excess > 1e-9))
+        # Written so that NaN counts as a failure and reaches ``worst``.
+        worst = float(np.maximum(worst, excess.max()))
+        failures += int(np.sum(~(excess <= 1e-9)))
         n_cases += profiles.shape[0]
 
     account(wf[None, :])
@@ -414,15 +407,14 @@ def quadrature_suite(
         ("closed_vs_numeric_rate", avg_rate_closed, avg_rate_numeric),
         ("closed_vs_numeric_power", avg_power_closed, avg_power_numeric),
     ):
-        worst = 0.0
-        failures = 0
-        for n, u_th, rho in tuples:
+        rel = np.zeros(n_tuples)
+        for j, (n, u_th, rho) in enumerate(tuples):
             reference = numeric(params, n, u_th, rho, rel_tol=quad_tol)
             value = closed(params, n, u_th, rho) * (1.0 + perturb_closed_form)
-            rel = abs(value - reference) / max(abs(reference), 1e-300)
-            worst = max(worst, rel)
-            failures += rel > rel_tol
-        results.append(CheckResult(name, n_tuples, failures, worst))
+            rel[j] = abs(value - reference) / max(abs(reference), 1e-300)
+        # A NaN residual is a failure, and np.max carries it into worst.
+        failures = int(np.sum(~(rel <= rel_tol)))
+        results.append(CheckResult(name, n_tuples, failures, float(np.max(rel, initial=0.0))))
     return results
 
 

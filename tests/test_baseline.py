@@ -105,3 +105,21 @@ def test_config_validation():
         BaselineConfig(v_max=-1.0)
     with pytest.raises(ValueError):
         BaselineConfig(p_t=-0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beamwidth_deg", 180.0),
+        ("beamwidth_deg", 200.0),
+        ("beamwidth_deg", 360.0),
+        ("beamwidth_deg", math.nan),
+        ("v_max", math.nan),
+        ("v_max", math.inf),
+        ("p_t", math.nan),
+        ("p_t", math.inf),
+    ],
+)
+def test_config_rejects_nonsense_and_nonfinite(field, value):
+    with pytest.raises(ValueError, match=field):
+        BaselineConfig(**{field: value})

@@ -65,6 +65,11 @@ class TestOptimize:
         assert record["n_beams"] == "3"
         assert float(record["avg_power"]) == pytest.approx(1.0, rel=1e-8)
 
+    def test_tiny_budget_is_feasible(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--pmax", "2.9e-17")
+        assert code == 0, err
+        assert "avg_power: 2.9e-17" in out
+
     def test_csv_row_written(self, capsys, tmp_path):
         out_path = tmp_path / "design.csv"
         code, _, _ = run_cli(capsys, "optimize", "--pmax", "1e-3", "--out", str(out_path))
@@ -102,6 +107,26 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "optimize", "--config", str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+    def test_bad_value_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# scenario\nd = abc\n")
+        code, _, err = run_cli(capsys, "optimize", "--config", str(cfg))
+        assert code == 2
+        assert f"{cfg}:2:" in err
+        assert "'abc'" in err
+
+    def test_baseline_keys_honoured(self, capsys, tmp_path):
+        cfg = tmp_path / "baseline.cfg"
+        cfg.write_text("pt = 2e-3\nbeamwidth_deg = 12\n")
+        code, out, _ = run_cli(capsys, "baseline", "--config", str(cfg), "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["p_t"] == 2e-3
+        assert record["beamwidth_deg"] == 12.0
+        # The flag still wins over the file.
+        _, out, _ = run_cli(capsys, "baseline", "--config", str(cfg), "--pt", "3e-3", "--json")
+        assert json.loads(out)["p_t"] == 3e-3
 
     def test_noise_conversion(self):
         assert dbm_per_hz_to_w_per_hz(-174.0) == pytest.approx(10**-20.4, rel=1e-12)
@@ -200,6 +225,28 @@ class TestVerify:
         assert "sweep_coverage" in names
         assert all(line.split(",")[2] == "0" for line in lines[1:])
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_perturbation_rejected(self, capsys, eps):
+        code, out, err = run_cli(capsys, "verify", "--perturb-closed-form", eps)
+        assert code == 2
+        assert out == ""
+        assert "--perturb-closed-form" in err
+
+    def test_report_schema(self, capsys, tmp_path):
+        out_path = tmp_path / "report.csv"
+        code, out, _ = run_cli(
+            capsys, "verify", "--tuples", "2", "--trajectories", "30", "--profiles", "2",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out == ""
+        lines = out_path.read_text().strip().splitlines()
+        assert lines[0] == "check_name,n_cases,n_failures,worst_residual"
+        assert len(lines) == 8
+        for line in lines[1:]:
+            name, n_cases, n_failures, worst = line.split(",")
+            int(n_cases), int(n_failures), float(worst)
+
     def test_fault_injection_fails(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -237,11 +284,51 @@ class TestBaseline:
             2e-3 * record["f_comm"], rel=1e-12
         )
 
+    def test_csv_written(self, capsys, tmp_path):
+        out_path = tmp_path / "baseline.csv"
+        code, out, _ = run_cli(capsys, "baseline", "--out", str(out_path))
+        assert code == 0
+        header, row = out_path.read_text().splitlines()
+        assert header == (
+            "beamwidth_deg,v_max_m_s,p_t,f_comm,spectral_efficiency_bit_s_hz,"
+            "avg_rate_bit_s,avg_power"
+        )
+        # The CSV row carries the same 12-digit values as the text report.
+        assert row.split(",") == [line.split(": ")[1] for line in out.splitlines()]
+
+    @pytest.mark.parametrize(
+        "flags", [["--beamwidth-deg", "200"], ["--beamwidth-deg", "nan"], ["--pt", "nan"]]
+    )
+    def test_nonsense_beam_or_power_exit_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "baseline", *flags)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
 
 def test_bad_flag_value_exit_2(capsys):
     code, _, err = run_cli(capsys, "optimize", "--phi", "-5")
     assert code == 2
     assert "error" in err
+
+
+# Flags that the command does not read are not parsed: argparse exits 2.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--seed", "1"],
+        ["sweep", "--seed", "1"],
+        ["baseline", "--seed", "1"],
+        ["sweep", "--json"],
+        ["verify", "--json", "--tuples", "1", "--trajectories", "3", "--profiles", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_unread_flag_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli"
@@ -267,3 +354,20 @@ def test_defaults_match_golden_bytes(capsys, tmp_path, kind):
     assert out.encode() == (GOLDEN_CLI / f"{kind}.stdout").read_bytes()
     if "--out" in argv:
         assert csv_path.read_bytes() == (GOLDEN_CLI / f"{kind}.csv").read_bytes()
+
+
+GOLDEN_TESTS = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_zero_budget_matches_golden_bytes(capsys, tmp_path, as_json):
+    # The zero-rate design takes its own path through cmd_optimize, which
+    # the benchmark goldens do not reach.
+    name = "optimize-pmax0-json" if as_json else "optimize-pmax0"
+    csv_path = tmp_path / "design.csv"
+    argv = ["optimize", "--pmax", "0", "--out", str(csv_path)] + ["--json"] * as_json
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.startswith("warning: power budget is effectively zero")
+    assert out.encode() == (GOLDEN_TESTS / f"{name}.stdout").read_bytes()
+    assert csv_path.read_bytes() == (GOLDEN_TESTS / "optimize-pmax0.csv").read_bytes()

@@ -146,6 +146,18 @@ class TestTightZeta:
         with pytest.raises(FeasibilityError):
             tight_zeta(max_upsilon(2, 1.0) * 1.01, 2, 1.0)
 
+    @pytest.mark.parametrize("budget", np.logspace(-12, 6, 37).tolist())
+    def test_max_upsilon_feasible_at_any_budget(self, budget):
+        # At small budgets norm_power(n, max_upsilon, 0) rounds relative to
+        # terms far larger than the budget; max_upsilon must still pass and
+        # anything a little beyond it must still fail.
+        n = np.arange(2, max_beams(budget) + 1).astype(float)
+        hi = max_upsilon(n, budget)
+        assert np.all(tight_zeta(hi, n, budget) >= 0.0)
+        for k in range(n.size):
+            with pytest.raises(FeasibilityError):
+                tight_zeta(hi[k] * (1.0 + 1e-9), n[k], budget)
+
 
 class TestRateSlope:
     def test_domain(self):
@@ -227,6 +239,13 @@ class TestOptimizeDesign:
         design = optimize_design(params)
         assert design.avg_power == pytest.approx(params.p_max, rel=1e-8)
         assert design.zeta >= 0.0
+
+    def test_tiny_budgets_feasible(self):
+        # Normalized budgets of about 3.5e-10 .. 3.5e-7: a slack tolerance
+        # relative to the budget rejected 45 of these 100 at max_upsilon.
+        for p_max in np.logspace(-17, -14, 100):
+            design = optimize_design(make_params(p_max=float(p_max)))
+            assert design.avg_power == pytest.approx(p_max, rel=1e-8)
 
     def test_deterministic(self, params):
         a = optimize_design(params)

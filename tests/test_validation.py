@@ -1,4 +1,4 @@
-import io
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from beamcycle import (
     simulate_cycle,
     slope_sign_suite,
     snr_gamma,
-    write_report,
 )
 
 from conftest import make_params
@@ -137,6 +136,12 @@ class TestJensen:
         b = jensen_check(params, 2, u_th, rho, n_perturbations=50, seed=12)
         assert a == b
 
+    def test_nan_rates_fail(self, params):
+        # A NaN trigger width makes every profile's rate NaN.
+        result = jensen_check(params, 2, math.nan, 1.0, n_perturbations=10)
+        assert result.n_failures == result.n_cases > 0
+        assert math.isnan(result.worst_residual)
+
 
 class TestSuites:
     def test_quadrature_suite_passes(self, params):
@@ -149,6 +154,16 @@ class TestSuites:
             params, n_tuples=10, seed=2, perturb_closed_form=1e-3
         )
         assert all(r.n_failures == r.n_cases for r in results)
+
+    def test_quadrature_suite_fails_on_nan(self, params):
+        # A NaN closed form compares false against the tolerance either way.
+        results = quadrature_suite(
+            params, n_tuples=4, seed=2, perturb_closed_form=math.nan
+        )
+        for result in results:
+            assert result.n_failures == result.n_cases == 4
+            assert math.isnan(result.worst_residual)
+            assert not result.passed
 
     def test_coverage_suite_small(self, params):
         for result in coverage_suite(params, n_traj=2000, seed=4):
@@ -171,14 +186,3 @@ class TestSuites:
         for result in quadrature_suite(params, n_tuples=0):
             assert result.n_cases == 0
             assert not result.passed
-
-    def test_report_schema(self, params):
-        results = slope_sign_suite(budgets=(1.0,), n_points=2, seed=0)
-        out = io.StringIO()
-        write_report(results, out)
-        lines = out.getvalue().strip().splitlines()
-        assert lines[0] == "check_name,n_cases,n_failures,worst_residual"
-        assert len(lines) == 1 + len(results)
-        for line in lines[1:]:
-            name, n_cases, n_failures, worst = line.split(",")
-            int(n_cases), int(n_failures), float(worst)
