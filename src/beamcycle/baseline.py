@@ -43,6 +43,11 @@ def rate_and_power(params: SystemParams, cfg: BaselineConfig) -> tuple[float, fl
     f_comm = comm_fraction(params, cfg)
     omega = math.radians(cfg.beamwidth_deg)
     rate = params.w_tot * math.log2(1.0 + snr_gamma(params) * cfg.p_t / omega) * f_comm
+    if not math.isfinite(rate):
+        raise ValueError(
+            f"baseline rate overflows at p_t = {cfg.p_t!r} with a "
+            f"{cfg.beamwidth_deg!r} degree beam"
+        )
     return rate, cfg.p_t * f_comm
 
 

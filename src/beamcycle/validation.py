@@ -13,8 +13,13 @@ forms they test:
   the water-filling profile's average rate.
 
 Per-trajectory randomness is drawn up front into tables addressed by
-trajectory index, so chunked, parallel, and serial evaluation produce
-bit-identical results for a given master seed.
+trajectory index, so results depend only on the master seed. The
+trajectories then stream through the sweep one time step at a time, in
+blocks of ``_BLOCK`` rows: a block keeps its running position sums, speed
+increments and per-beam hit flags, never a sampled path, so memory beyond
+the draw tables is O(block) whatever the number of steps. The running sums
+add left to right, as ``np.cumsum`` does, so every sampled position is the
+one a materialized path would hold.
 """
 
 from __future__ import annotations
@@ -49,8 +54,15 @@ SPEED_KINDS = ("constant-extreme", "piecewise-constant-uniform", "bang-bang")
 RESOLUTION = 100
 
 # Interval-membership slack relative to u_th, covering accumulated rounding
-# in the position cumsum ("integration resolution" in the checks below).
+# in the position sums ("integration resolution" in the checks below).
 _MEMBERSHIP_SLACK = 1e-9
+
+# Trajectories per block of the coverage kernel. A block's per-row state
+# stays in cache: 1.35 us per trajectory at this size, 1.59 us at 100k rows.
+_BLOCK = 32_768
+
+_PIECEWISE = SPEED_KINDS.index("piecewise-constant-uniform")
+_BANG_BANG = SPEED_KINDS.index("bang-bang")
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,9 @@ class _SpeedDraws:
     offset: np.ndarray  # switch-phase offset in steps
     levels: np.ndarray  # uniform speed per dwell segment
 
+    def __getitem__(self, rows) -> _SpeedDraws:
+        return _SpeedDraws(self.sign[rows], self.offset[rows], self.levels[rows])
+
 
 def _n_segments(n_steps: int, dwell_steps: int) -> int:
     return (n_steps + dwell_steps - 1) // dwell_steps + 1
@@ -106,57 +121,102 @@ def _speed_draws(
     )
 
 
-def _speeds_from_draws(
-    kind: str,
-    draws: _SpeedDraws,
-    rows: np.ndarray,
-    n_steps: int,
-    dwell_steps: int,
-    phi: float,
-) -> np.ndarray:
-    """Per-step speeds for the trajectories ``rows``, shape (len(rows), n_steps)."""
-    half = 0.5 * phi
-    sign = draws.sign[rows]
-    if kind == "constant-extreme":
-        return np.repeat(sign[:, None] * half, n_steps, axis=1).astype(float)
-    seg = (np.arange(n_steps)[None, :] + draws.offset[rows, None]) // dwell_steps
-    if kind == "bang-bang":
-        return sign[:, None] * half * np.where(seg % 2 == 0, 1.0, -1.0)
-    return np.take_along_axis(draws.levels[rows], seg, axis=1)
-
-
-def _positions(p0: np.ndarray, speeds: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty((speeds.shape[0], speeds.shape[1] + 1))
-    out[:, 0] = p0
-    np.cumsum(speeds * dt, axis=1, out=out[:, 1:])
-    out[:, 1:] += p0[:, None]
-    return out
-
-
-def _detect(
+def _sweep(
+    params: SystemParams,
     schedule: SweepSchedule,
-    positions: np.ndarray,
-    delta_s_phi: float,
+    kinds: np.ndarray,
+    p0: np.ndarray,
+    draws: _SpeedDraws,
+    dwell_steps: int,
     resolution: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized detection over trajectories.
+    record: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Step a block of trajectories through the sweep phase.
 
-    ``positions`` has shape (n_traj, n_beams*resolution + 1). A beam
-    detects a trajectory if the position lies in its scan interval at any
-    sampled time of its own microslot (slot boundaries belong to both
-    adjacent slots); the first such beam wins. Returns (covered, detected
-    1-based, final_ok).
+    Row ``r`` starts at ``p0[r]`` and moves with speed process
+    ``SPEED_KINDS[kinds[r]]``. Step ``j`` lies in speed segment
+    ``(j + offset) // dwell_steps``. Its speed there is ``sign * phi/2``
+    (constant-extreme), the same negated in odd segments (bang-bang), or
+    the segment's uniform level (piecewise). A beam detects a row if the
+    position lies in its scan interval at any sampled time of its own
+    microslot (slot boundaries belong to both adjacent slots); the first
+    such beam wins.
+
+    Returns the 1-based detected beam (0 if none) and the final position
+    of each row, and with ``record`` every sampled position, shape
+    (rows, n_beams*resolution + 1).
     """
+    dt = params.delta_s / resolution
+    n_rows = p0.size
+    # Sorted by kind and then offset, the rows whose speed segment changes
+    # at step j (offset == -j mod dwell_steps) are one slice per kind.
+    key = kinds * dwell_steps + draws.offset
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(
+        key[order], np.arange(len(SPEED_KINDS) * dwell_steps + 1)
+    ).tolist()
+
+    def phase_slices(kind: int) -> list[slice]:
+        first = kind * dwell_steps
+        return [slice(bounds[first + k], bounds[first + k + 1]) for k in range(dwell_steps)]
+
+    flips = phase_slices(_BANG_BANG)
+    loads = phase_slices(_PIECEWISE)
+    piecewise = slice(loads[0].start, loads[-1].stop)
+    # Per-step increments speed * dt, rounded as materialized speeds were.
+    inc = draws.sign[order] * (0.5 * params.phi) * dt
+    levels = draws.levels[order[piecewise]]
+    inc[piecewise] = levels[:, 0] * dt
+
+    p0 = p0[order]
+    total = np.zeros(n_rows)
+    pos = p0.copy()
+    inside = np.empty(n_rows, dtype=bool)
+    hit = np.empty(n_rows, dtype=bool)
+    below = np.empty(n_rows, dtype=bool)
+    detected = np.zeros(n_rows, dtype=np.int64)
+    samples = np.empty((n_rows, schedule.n_beams * resolution + 1)) if record else None
+    if record:
+        samples[:, 0] = pos
+    slack = _MEMBERSHIP_SLACK * schedule.u_th
+    j = 0
+    for beam, (a, b) in enumerate(schedule.intervals, start=1):
+        lo = a - slack
+        hi = b + slack
+        np.greater_equal(pos, lo, out=inside)
+        inside &= np.less_equal(pos, hi, out=below)
+        for _ in range(resolution):
+            if j:
+                phase = -j % dwell_steps
+                flip = flips[phase]
+                np.negative(inc[flip], out=inc[flip])
+                load = loads[phase]
+                segment = (j + phase) // dwell_steps
+                rows = slice(load.start - piecewise.start, load.stop - piecewise.start)
+                np.multiply(levels[rows, segment], dt, out=inc[load])
+            j += 1
+            total += inc
+            np.add(total, p0, out=pos)
+            np.greater_equal(pos, lo, out=hit)
+            hit &= np.less_equal(pos, hi, out=below)
+            inside |= hit
+            if record:
+                samples[:, j] = pos
+        np.copyto(detected, beam, where=inside & (detected == 0))
+
+    detected[order] = detected.copy()
+    pos[order] = pos.copy()
+    if record:
+        samples[order] = samples.copy()
+    return detected, pos, samples
+
+
+def _final_ok(
+    schedule: SweepSchedule, detected: np.ndarray, final: np.ndarray, delta_s_phi: float
+) -> np.ndarray:
+    """Whether each detected trajectory ends inside its beam's u_comm window."""
     n = schedule.n_beams
     slack = _MEMBERSHIP_SLACK * schedule.u_th
-    detected = np.zeros(positions.shape[0], dtype=np.int64)
-    for i, (a, b) in enumerate(schedule.intervals):
-        window = positions[:, i * resolution : (i + 1) * resolution + 1]
-        inside = np.any((window >= a - slack) & (window <= b + slack), axis=1)
-        np.copyto(detected, i + 1, where=inside & (detected == 0))
-    covered = detected > 0
-
-    final = positions[:, n * resolution]
     a_arr = np.array([iv[0] for iv in schedule.intervals])
     b_arr = np.array([iv[1] for iv in schedule.intervals])
     idx = np.maximum(detected - 1, 0)
@@ -166,8 +226,7 @@ def _detect(
     grow = (n + 1 - detected.astype(float)) * 0.5 * delta_s_phi
     lo = a_arr[idx] - grow
     hi = b_arr[idx] + grow
-    final_ok = covered & (final >= lo - slack) & (final <= hi + slack)
-    return covered, detected, final_ok
+    return (detected > 0) & (final >= lo - slack) & (final <= hi + slack)
 
 
 def simulate_cycle(
@@ -197,17 +256,15 @@ def simulate_cycle(
     dwell_steps = max(1, round(dwell / dt))
     rng = np.random.default_rng(np.random.SeedSequence(process.seed))
     draws = _speed_draws(rng, 1, n_steps, dwell_steps, params.phi)
-    speeds = _speeds_from_draws(
-        process.kind, draws, np.array([0]), n_steps, dwell_steps, params.phi
+    kinds = np.array([SPEED_KINDS.index(process.kind)])
+    detected, final, samples = _sweep(
+        params, schedule, kinds, np.array([p0]), draws, dwell_steps, resolution, record=True
     )
-    positions = _positions(np.array([p0]), speeds, dt)
-    covered, detected, final_ok = _detect(
-        schedule, positions, params.delta_s * params.phi, resolution
-    )
+    final_ok = _final_ok(schedule, detected, final, params.delta_s * params.phi)
     return TrajectoryResult(
-        true_positions=positions[0],
+        true_positions=samples[0],
         detected_beam=int(detected[0]),
-        covered=bool(covered[0]),
+        covered=bool(detected[0] > 0),
         final_width_ok=bool(final_ok[0]),
     )
 
@@ -343,10 +400,15 @@ def jensen_check(
     worst = -math.inf
     failures = 0
     n_cases = 0
+    # Batches of up to 100 profiles reuse two buffers: freshly allocated
+    # arrays this large are page-faulted in again on every batch.
+    batch = np.empty((min(100, n_perturbations + 2), grid_points))
+    snr = np.empty_like(batch)
 
     def account(profiles: np.ndarray) -> None:
         nonlocal worst, failures, n_cases
-        rates = np.mean(np.log1p(gain[None, :] * profiles), axis=1)
+        out = np.multiply(gain[None, :], profiles, out=snr[: len(profiles)])
+        rates = np.mean(np.log1p(out, out=out), axis=1)
         excess = rates - rate_wf
         # Written so that NaN counts as a failure and reaches ``worst``.
         worst = float(np.maximum(worst, excess.max()))
@@ -358,12 +420,14 @@ def jensen_check(
         account(np.full((1, grid_points), budget))
         account(rng.permutation(wf)[None, :])
         for start in range(0, n_perturbations, 100):
-            m = min(100, n_perturbations - start)
-            draws = rng.exponential(1.0, size=(m, grid_points))
-            profiles = draws * (budget / np.mean(draws, axis=1))[:, None]
+            # Unit-scale exponential draws, the stream rng.exponential(1.0) gives.
+            profiles = rng.standard_exponential(out=batch[: min(100, n_perturbations - start)])
+            profiles *= (budget / np.mean(profiles, axis=1))[:, None]
             account(profiles)
     else:
-        account(np.zeros((n_perturbations + 2, grid_points)))
+        batch.fill(0.0)
+        for start in range(0, n_perturbations + 2, 100):
+            account(batch[: min(100, n_perturbations + 2 - start)])
     return CheckResult("jensen_waterfilling", n_cases, failures, worst)
 
 
@@ -418,6 +482,34 @@ def quadrature_suite(
     return results
 
 
+def _coverage_point(
+    params: SystemParams,
+    schedule: SweepSchedule,
+    n_traj: int,
+    seed: int,
+    resolution: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detected beam and final position of each trajectory at one design point.
+
+    The draws for all ``n_traj`` trajectories come first, in a fixed order;
+    the trajectories then go through ``_sweep`` ``_BLOCK`` rows at a time.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, schedule.n_beams)))
+    p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
+    draws = _speed_draws(
+        rng, n_traj, schedule.n_beams * resolution, resolution, params.phi
+    )
+    kinds = np.arange(n_traj) % len(SPEED_KINDS)
+    detected = np.empty(n_traj, dtype=np.int64)
+    final = np.empty(n_traj)
+    for start in range(0, n_traj, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        detected[rows], final[rows], _ = _sweep(
+            params, schedule, kinds[rows], p0[rows], draws[rows], resolution, resolution
+        )
+    return detected, final
+
+
 def coverage_suite(
     params: SystemParams,
     points: Sequence[tuple[int, float]] | None = None,
@@ -436,40 +528,19 @@ def coverage_suite(
     if points is None:
         points = ((2, 8.0), (3, 60.0), (5, 6.0))
     step = params.delta_s * params.phi
-    dt = params.delta_s / resolution
     cover_fail = 0
     width_fail = 0
     worst_spread = 0.0
     n_cases = 0
     for n_beams, ups in points:
         schedule = build_schedule(params, ups * step, n_beams)
-        n_steps = n_beams * resolution
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n_beams)))
-        p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
-        draws = _speed_draws(rng, n_traj, n_steps, resolution, params.phi)
-        kind_idx = np.arange(n_traj) % len(SPEED_KINDS)
-        final_lo = np.full(n_beams, np.inf)
-        final_hi = np.full(n_beams, -np.inf)
-        chunk = 4096
-        for start in range(0, n_traj, chunk):
-            rows = np.arange(start, min(start + chunk, n_traj))
-            speeds = np.empty((rows.size, n_steps))
-            for k, kind in enumerate(SPEED_KINDS):
-                sel = kind_idx[rows] == k
-                if sel.any():
-                    speeds[sel] = _speeds_from_draws(
-                        kind, draws, rows[sel], n_steps, resolution, params.phi
-                    )
-            positions = _positions(p0[rows], speeds, dt)
-            covered, detected, final_ok = _detect(schedule, positions, step, resolution)
-            cover_fail += int(np.sum(~covered))
-            width_fail += int(np.sum(covered & ~final_ok))
-            final = positions[:, n_steps]
-            for b in range(1, n_beams + 1):
-                hit = detected == b
-                if hit.any():
-                    final_lo[b - 1] = min(final_lo[b - 1], float(final[hit].min()))
-                    final_hi[b - 1] = max(final_hi[b - 1], float(final[hit].max()))
+        detected, final = _coverage_point(params, schedule, n_traj, seed, resolution)
+        covered = detected > 0
+        cover_fail += int(np.sum(~covered))
+        width_fail += int(np.sum(covered & ~_final_ok(schedule, detected, final, step)))
+        hits = [final[detected == b] for b in range(1, n_beams + 1)]
+        final_lo = np.array([hit.min(initial=np.inf) for hit in hits])
+        final_hi = np.array([hit.max(initial=-np.inf) for hit in hits])
         n_cases += n_traj
         spreads = final_hi - final_lo
         seen = np.isfinite(spreads)

@@ -31,10 +31,11 @@ from beamcycle import (
     slope_root,
     snr_gamma,
     tight_zeta,
+    validation,
 )
 from beamcycle.performance import LN2
 
-from conftest import make_params
+from conftest import COVERAGE_MUTANTS, make_params
 
 
 def test_criterion_1_closed_form_fidelity(params):
@@ -267,7 +268,7 @@ def test_criterion_7_figure_trends(params):
     )
 
 
-def test_criterion_8_fault_injection(params):
+def test_criterion_8_fault_injection(params, monkeypatch):
     clean = quadrature_suite(params, n_tuples=10, seed=808)
     assert all(r.n_failures == 0 for r in clean)
     faulty = quadrature_suite(params, n_tuples=10, seed=808, perturb_closed_form=1e-3)
@@ -277,4 +278,13 @@ def test_criterion_8_fault_injection(params):
     assert main(["verify", "--tuples", "5", "--trajectories", "1000",
                  "--profiles", "5", "--perturb-closed-form", "1e-3",
                  "--out", "/dev/null"]) == 1
-    print("ACCEPTANCE 8 fault injection: PASS (perturbed closed forms detected)")
+    caught = []
+    for name, (build, check, failures) in sorted(COVERAGE_MUTANTS.items()):
+        monkeypatch.setattr(validation, "build_schedule", build)
+        results = {r.check_name: r for r in coverage_suite(params, n_traj=3000, seed=1)}
+        assert results[check].n_failures == failures, name
+        caught.append(f"{name} by {check} {failures}/{results[check].n_cases}")
+    print(
+        "ACCEPTANCE 8 fault injection: PASS (perturbed closed forms detected; "
+        f"coverage mutants: {', '.join(caught)})"
+    )

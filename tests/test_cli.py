@@ -247,6 +247,18 @@ class TestVerify:
             name, n_cases, n_failures, worst = line.split(",")
             int(n_cases), int(n_failures), float(worst)
 
+    # One trajectory runs one speed kind only; four leave one kind short.
+    @pytest.mark.parametrize("n_traj, n_cases", [(1, 3), (4, 12)])
+    def test_edge_trajectory_counts(self, capsys, n_traj, n_cases):
+        code, out, _ = run_cli(
+            capsys, "verify", "--tuples", "2", "--profiles", "2",
+            "--trajectories", str(n_traj),
+        )
+        assert code == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.splitlines()[1:]}
+        for check in ("sweep_coverage", "post_sweep_width"):
+            assert rows[check][1:3] == [str(n_cases), "0"]
+
     def test_fault_injection_fails(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -304,6 +316,14 @@ class TestBaseline:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    def test_rate_overflow_exit_2(self, capsys, as_json):
+        # The power-matched p_t of a 1e-300 degree beam overflows the rate.
+        code, out, err = run_cli(capsys, "baseline", "--beamwidth-deg", "1e-300", *as_json)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_bad_flag_value_exit_2(capsys):

@@ -18,13 +18,100 @@ from beamcycle import (
     simulate_cycle,
     slope_sign_suite,
     snr_gamma,
+    validation,
 )
 
-from conftest import make_params
+from conftest import COVERAGE_MUTANTS, make_params
+
+DEFAULT_POINTS = ((2, 8.0), (3, 60.0), (5, 6.0))  # coverage_suite's design points
 
 
 def _rho_for_level(params, level):
     return level / (params.d * snr_gamma(params))
+
+
+# Reference: every sampled path materialized and summed with np.cumsum. The
+# streamed kernel must reproduce its outcomes bit for bit.
+
+
+def _speeds_from_draws(kind, draws, rows, n_steps, dwell_steps, phi):
+    """Per-step speeds for the trajectories ``rows``, shape (len(rows), n_steps)."""
+    half = 0.5 * phi
+    sign = draws.sign[rows]
+    if kind == "constant-extreme":
+        return np.repeat(sign[:, None] * half, n_steps, axis=1).astype(float)
+    seg = (np.arange(n_steps)[None, :] + draws.offset[rows, None]) // dwell_steps
+    if kind == "bang-bang":
+        return sign[:, None] * half * np.where(seg % 2 == 0, 1.0, -1.0)
+    return np.take_along_axis(draws.levels[rows], seg, axis=1)
+
+
+def _positions(p0, speeds, dt):
+    out = np.empty((speeds.shape[0], speeds.shape[1] + 1))
+    out[:, 0] = p0
+    np.cumsum(speeds * dt, axis=1, out=out[:, 1:])
+    out[:, 1:] += p0[:, None]
+    return out
+
+
+def _detect(schedule, positions, delta_s_phi, resolution):
+    """(covered, detected 1-based, final_ok) of materialized paths."""
+    n = schedule.n_beams
+    slack = validation._MEMBERSHIP_SLACK * schedule.u_th
+    detected = np.zeros(positions.shape[0], dtype=np.int64)
+    for i, (a, b) in enumerate(schedule.intervals):
+        window = positions[:, i * resolution : (i + 1) * resolution + 1]
+        inside = np.any((window >= a - slack) & (window <= b + slack), axis=1)
+        np.copyto(detected, i + 1, where=inside & (detected == 0))
+    covered = detected > 0
+    final = positions[:, n * resolution]
+    a_arr = np.array([iv[0] for iv in schedule.intervals])
+    b_arr = np.array([iv[1] for iv in schedule.intervals])
+    idx = np.maximum(detected - 1, 0)
+    grow = (n + 1 - detected.astype(float)) * 0.5 * delta_s_phi
+    lo = a_arr[idx] - grow
+    hi = b_arr[idx] + grow
+    final_ok = covered & (final >= lo - slack) & (final <= hi + slack)
+    return covered, detected, final_ok
+
+
+def _reference_positions(params, kinds, p0, draws, n_steps, dwell_steps):
+    """Sampled positions of each row, the rows of kind k built by _speeds_from_draws."""
+    speeds = np.empty((len(p0), n_steps))
+    for k, kind in enumerate(validation.SPEED_KINDS):
+        sel = np.flatnonzero(kinds == k)
+        if sel.size:
+            speeds[sel] = _speeds_from_draws(kind, draws, sel, n_steps, dwell_steps, params.phi)
+    return _positions(p0, speeds, params.delta_s / 100)
+
+
+def _reference_point(params, schedule, n_traj, seed):
+    """(covered, detected, final_ok, final position) per trajectory, in chunks."""
+    n_steps = schedule.n_beams * 100
+    rng = np.random.default_rng(np.random.SeedSequence((seed, schedule.n_beams)))
+    p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
+    draws = validation._speed_draws(rng, n_traj, n_steps, 100, params.phi)
+    kinds = np.arange(n_traj) % len(validation.SPEED_KINDS)
+    outcomes = []
+    for start in range(0, n_traj, 4096):
+        rows = slice(start, start + 4096)
+        positions = _reference_positions(
+            params, kinds[rows], p0[rows], draws[rows], n_steps, 100
+        )
+        step = params.delta_s * params.phi
+        outcomes.append((*_detect(schedule, positions, step, 100), positions[:, -1]))
+    return tuple(np.concatenate(parts) for parts in zip(*outcomes))
+
+
+def _streamed_point(params, schedule, n_traj, seed):
+    detected, final = validation._coverage_point(params, schedule, n_traj, seed, 100)
+    step = params.delta_s * params.phi
+    return detected > 0, detected, validation._final_ok(schedule, detected, final, step), final
+
+
+def _assert_same_outcomes(streamed, reference):
+    for name, got, want in zip(("covered", "detected", "final_ok", "final"), streamed, reference):
+        assert np.array_equal(got, want), name
 
 
 class TestSimulateCycle:
@@ -79,6 +166,52 @@ class TestSimulateCycle:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             SpeedProcess("brownian", seed=1)
+
+    @pytest.mark.parametrize("dwell_slots", [0.37, 2.5])
+    @pytest.mark.parametrize("kind", validation.SPEED_KINDS)
+    def test_matches_materialized_path(self, params, kind, dwell_slots):
+        schedule = build_schedule(params, 60 * params.delta_s * params.phi, 3)
+        n_steps = 3 * 100
+        dwell = dwell_slots * params.delta_s
+        dwell_steps = max(1, round(dwell / (params.delta_s / 100)))
+        for seed, p0 in enumerate(np.linspace(0.0, schedule.u_th, 7)):
+            result = simulate_cycle(params, schedule, SpeedProcess(kind, seed, dwell), p0)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            draws = validation._speed_draws(rng, 1, n_steps, dwell_steps, params.phi)
+            kinds = np.array([validation.SPEED_KINDS.index(kind)])
+            positions = _reference_positions(
+                params, kinds, np.array([p0]), draws, n_steps, dwell_steps
+            )
+            covered, detected, final_ok = _detect(
+                schedule, positions, params.delta_s * params.phi, 100
+            )
+            assert np.array_equal(result.true_positions, positions[0])
+            assert result.detected_beam == detected[0]
+            assert result.covered == covered[0]
+            assert result.final_width_ok == final_ok[0]
+
+
+class TestCoverageKernel:
+    """The streamed kernel against materialized paths, trajectory by trajectory."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n_beams, upsilon", DEFAULT_POINTS)
+    def test_default_points(self, params, n_beams, upsilon, seed):
+        schedule = build_schedule(params, upsilon * params.delta_s * params.phi, n_beams)
+        _assert_same_outcomes(
+            _streamed_point(params, schedule, 20_000, seed),
+            _reference_point(params, schedule, 20_000, seed),
+        )
+
+    # One kind only, no bang-bang, a few of each, and one row past a block.
+    @pytest.mark.parametrize("n_traj", [1, 2, 5, validation._BLOCK + 1])
+    @pytest.mark.parametrize("n_beams, upsilon", DEFAULT_POINTS)
+    def test_edge_sizes(self, params, n_beams, upsilon, n_traj):
+        schedule = build_schedule(params, upsilon * params.delta_s * params.phi, n_beams)
+        _assert_same_outcomes(
+            _streamed_point(params, schedule, n_traj, 3),
+            _reference_point(params, schedule, n_traj, 3),
+        )
 
 
 class TestQuadrature:
@@ -136,6 +269,13 @@ class TestJensen:
         b = jensen_check(params, 2, u_th, rho, n_perturbations=50, seed=12)
         assert a == b
 
+    def test_zero_budget_counts_every_profile(self, params):
+        # rho = 0 gives an all-zero water-filling profile; 252 zero profiles
+        # take three batches.
+        u_th = 50 * params.delta_s * params.phi
+        result = jensen_check(params, 2, u_th, 0.0, n_perturbations=250)
+        assert result == CheckResult("jensen_waterfilling", 253, 0, 0.0)
+
     def test_nan_rates_fail(self, params):
         # A NaN trigger width makes every profile's rate NaN.
         result = jensen_check(params, 2, math.nan, 1.0, n_perturbations=10)
@@ -169,12 +309,14 @@ class TestSuites:
         for result in coverage_suite(params, n_traj=2000, seed=4):
             assert result.passed
 
-    def test_coverage_suite_chunking_invariant(self, params):
-        # Chunked evaluation must not change outcomes: randomness is
-        # addressed by trajectory index.
-        a = coverage_suite(params, points=((2, 8.0),), n_traj=5000, seed=9)
-        b = coverage_suite(params, points=((2, 8.0),), n_traj=5000, seed=9)
-        assert a == b
+    @pytest.mark.parametrize("mutant", sorted(COVERAGE_MUTANTS))
+    def test_coverage_suite_catches_mutant(self, params, monkeypatch, mutant):
+        build, check, failures = COVERAGE_MUTANTS[mutant]
+        monkeypatch.setattr(validation, "build_schedule", build)
+        results = {r.check_name: r for r in coverage_suite(params, n_traj=3000, seed=1)}
+        assert results[check].n_failures == failures
+        # Each mutant is caught by its own check; the other one still passes.
+        assert [name for name, r in results.items() if not r.passed] == [check]
 
     def test_slope_sign_suite_passes(self):
         for result in slope_sign_suite(budgets=(0.5, 5.0), n_points=10, seed=6):
