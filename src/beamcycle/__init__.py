@@ -20,7 +20,6 @@ from .optimize import (
     best_upsilon,
     max_beams,
     max_upsilon,
-    min_upsilon,
     optimize_design,
     rate_slope,
     slope_root,
@@ -45,19 +44,17 @@ from .sweep import (
     comm_width,
     cycle_duration,
     min_u_th,
+    min_upsilon,
     validate_small_angle,
 )
 from .validation import (
     CheckResult,
-    SpeedProcess,
-    TrajectoryResult,
     avg_power_numeric,
     avg_rate_numeric,
     coverage_suite,
     jensen_check,
     quadrature_suite,
     run_all,
-    simulate_cycle,
     slope_sign_suite,
 )
 
@@ -69,10 +66,8 @@ __all__ = [
     "FeasibilityError",
     "NormalizedDesign",
     "OptimalDesign",
-    "SpeedProcess",
     "SweepSchedule",
     "SystemParams",
-    "TrajectoryResult",
     "avg_power_closed",
     "avg_power_numeric",
     "avg_rate_closed",
@@ -100,7 +95,6 @@ __all__ = [
     "rate_and_power",
     "rate_slope",
     "run_all",
-    "simulate_cycle",
     "slope_root",
     "slope_sign_suite",
     "snr_gamma",

@@ -39,7 +39,6 @@ DEFAULTS = {
     "d": 10.0,          # m
     "xi": 1.0,
     "vmax": 20.0,       # m/s
-    "v_drift": 0.0,     # m/s
     "p_max": 1e-3,      # W
 }
 
@@ -133,7 +132,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         xi=cfg["xi"],
         phi=phi,
         p_max=cfg["p_max"],
-        v_drift=cfg["v_drift"],
     )
     axis = cfg.get("axis", "power")
     if axis not in ("power", "speed"):
@@ -300,8 +298,9 @@ def _make_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="flat key = value config file")
     shared.add_argument("--phi", type=float, help="speed uncertainty v_max - v_min, m/s")
     shared.add_argument("--vmax", type=float, help="worst-case speed, m/s (phi = 2*vmax)")
-    shared.add_argument("--pmax", type=float, dest="p_max", help="average power budget")
     shared.add_argument("--out", help="output file path (default: stdout)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--pmax", type=float, dest="p_max", help="average power budget")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -312,9 +311,11 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("optimize", parents=[shared, as_json], help="rate-maximal cycle design")
+    sub.add_parser(
+        "optimize", parents=[shared, budget, as_json], help="rate-maximal cycle design"
+    )
 
-    sweep = sub.add_parser("sweep", parents=[shared], help="grid sweep to CSV")
+    sweep = sub.add_parser("sweep", parents=[shared, budget], help="grid sweep to CSV")
     sweep.add_argument("--axis", choices=("power", "speed"), help="sweep axis")
     sweep.add_argument("--values", help="comma-separated, strictly increasing grid")
 
@@ -333,7 +334,7 @@ def _make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--profiles", type=int, default=1000, help="random power profiles")
 
     baseline = sub.add_parser(
-        "baseline", parents=[shared, as_json], help="fixed-beam comparison point"
+        "baseline", parents=[shared, budget, as_json], help="fixed-beam comparison point"
     )
     baseline.add_argument("--beamwidth-deg", type=float, dest="beamwidth_deg")
     baseline.add_argument("--pt", type=float, help="constant transmit power")

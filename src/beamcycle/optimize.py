@@ -37,11 +37,6 @@ _BRACKET_EPS = 1e-9
 _MAX_BEAMS_CAP = 10**6
 
 
-def min_upsilon(n_beams: int) -> float:
-    """Smallest feasible normalized trigger width for ``n_beams`` beams."""
-    return max(trigger_width_branches(n_beams))
-
-
 def max_upsilon(n_beams: int, p_hat_max: float) -> float:
     """Largest ``upsilon`` whose zero-headroom power fits the budget.
 
@@ -231,24 +226,14 @@ def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:
     best beam count exhaustively (ties toward fewer beams), and converts
     back to physical units. The power constraint is tight at the result.
     """
-    params.require_zero_drift()
     p_hat_max = norm_power_budget(params)
     n_max = max_beams(p_hat_max)
-    counts = n_max - 1  # beam counts 2..n_max, one lane each
-    # The lanes are padded to a power of two by repeating the top count.
-    # Arrays of a new length on every request, each freed before the next,
-    # fragment the malloc heap: the resident size creeps up with no growth
-    # in live memory (1 MiB over 4800 design-stream requests, where padded
-    # lanes kept it flat). With a handful of lengths, blocks are reused.
-    lanes = np.full(1 << (counts - 1).bit_length(), float(n_max))
-    lanes[:counts] = np.arange(2, n_max + 1)
+    lanes = np.arange(2, n_max + 1, dtype=float)  # one lane per beam count
     ups = best_upsilon(lanes, p_hat_max, tol=tol)
     zetas = tight_zeta(ups, lanes, p_hat_max)
     candidates = []
     best = None
-    for n, ups_n, zeta in zip(
-        range(2, n_max + 1), ups[:counts].tolist(), zetas[:counts].tolist()
-    ):
+    for n, ups_n, zeta in zip(range(2, n_max + 1), ups.tolist(), zetas.tolist()):
         rate = norm_rate(n, ups_n, zeta)
         candidates.append((n, ups_n, rate))
         if best is None or rate > best[2]:

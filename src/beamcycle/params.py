@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Scenario constants shared by every cycle computation."""
+    """Scenario constants shared by every cycle computation.
+
+    Speed enters only as the uncertainty ``phi``: the BS steers out the
+    user's mean speed, so the cycle math sees symmetric speeds in
+    [-phi/2, phi/2].
+    """
 
     w_tot: float          # bandwidth, Hz
     wavelength: float     # carrier wavelength, m
@@ -25,7 +30,6 @@ class SystemParams:
     xi: float             # antenna efficiency, in (0, 1]
     phi: float            # speed uncertainty v_max - v_min, m/s
     p_max: float          # average power budget
-    v_drift: float = 0.0  # drift velocity, m/s (stored; cycle math needs 0)
 
     def __post_init__(self):
         positive = {
@@ -43,21 +47,6 @@ class SystemParams:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if self.xi > 1.0:
             raise ValueError(f"xi must be in (0, 1], got {self.xi!r}")
-        if not math.isfinite(self.v_drift):
-            raise ValueError(f"v_drift must be finite, got {self.v_drift!r}")
-
-    def require_zero_drift(self) -> None:
-        """Cycle math assumes a residual drift of zero.
-
-        A known non-zero drift is expected to be removed by beam steering
-        before these models apply; we reject it rather than model the
-        steering.
-        """
-        if self.v_drift != 0.0:
-            raise ValueError(
-                f"v_drift = {self.v_drift} m/s: steer the drift out (set it to 0) "
-                "before building schedules or evaluating cycle performance"
-            )
 
 
 def snr_gamma(params: SystemParams) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FeasibilityError, _any
 from .params import SystemParams, snr_gamma
-from .sweep import comm_width, cycle_duration, min_u_th, trigger_width_branches
+from .sweep import comm_width, cycle_duration, min_u_th, min_upsilon
 
 LN2 = math.log(2.0)
 
@@ -43,7 +43,6 @@ def _check_cycle_inputs(
     params: SystemParams, n_beams: int, u_th: float, rho: float
 ) -> tuple[float, float, float]:
     """Validate a (n_beams, u_th, rho) design; return (gamma, u_comm, T)."""
-    params.require_zero_drift()
     if u_th < min_u_th(params, n_beams) * (1.0 - _EPS):
         raise FeasibilityError(
             f"u_th = {u_th} m infeasible for {n_beams} beams "
@@ -172,9 +171,8 @@ def normalize(
     step = params.delta_s * params.phi
     upsilon = u_th / step
     zeta = params.d * snr_gamma(params) * rho / (step * upsilon) - 1.0
-    shrink, nonneg = trigger_width_branches(n_beams)
     u_hat = norm_comm_width(upsilon, n_beams)
-    feasible = upsilon >= max(shrink, nonneg) and zeta >= u_hat / upsilon - 1.0
+    feasible = upsilon >= min_upsilon(n_beams) and zeta >= u_hat / upsilon - 1.0
     return NormalizedDesign(n_beams=n_beams, upsilon=upsilon, zeta=zeta, feasible=feasible)
 
 

@@ -35,10 +35,14 @@ def trigger_width_branches(n_beams: int) -> tuple[float, float]:
     return shrink, nonneg
 
 
+def min_upsilon(n_beams: int) -> float:
+    """Smallest feasible normalized trigger width for ``n_beams`` beams."""
+    return max(trigger_width_branches(n_beams))
+
+
 def min_u_th(params: SystemParams, n_beams: int) -> float:
     """Smallest sweep-trigger width (m) feasible with ``n_beams`` beams."""
-    shrink, nonneg = trigger_width_branches(n_beams)
-    return params.delta_s * params.phi * max(shrink, nonneg)
+    return params.delta_s * params.phi * min_upsilon(n_beams)
 
 
 def comm_width(params: SystemParams, u_th: float, n_beams: int) -> float:
@@ -79,7 +83,6 @@ def build_schedule(params: SystemParams, u_th: float, n_beams: int) -> SweepSche
     Raises FeasibilityError when ``u_th`` is below the bound for
     ``n_beams``, naming the violated branch.
     """
-    params.require_zero_drift()
     shrink, nonneg = trigger_width_branches(n_beams)
     step = params.delta_s * params.phi
     if u_th < shrink * step:

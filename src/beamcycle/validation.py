@@ -12,14 +12,14 @@ forms they test:
 * random power profiles with matched average power, which can never beat
   the water-filling profile's average rate.
 
-Per-trajectory randomness is drawn up front into tables addressed by
-trajectory index, so results depend only on the master seed. The
-trajectories then stream through the sweep one time step at a time, in
-blocks of ``_BLOCK`` rows: a block keeps its running position sums, speed
-increments and per-beam hit flags, never a sampled path, so memory beyond
-the draw tables is O(block) whatever the number of steps. The running sums
-add left to right, as ``np.cumsum`` does, so every sampled position is the
-one a materialized path would hold.
+Per-trajectory randomness comes from one stream per design point, drawn
+in trajectory order, so results depend only on the master seed. The
+trajectories stream through the sweep one time step at a time, in blocks
+of ``_BLOCK`` rows: a block draws its own speed levels and keeps its
+running position sums, speed increments and per-beam hit flags, never a
+sampled path, so memory is O(block) whatever the number of steps. The
+running sums add left to right, as ``np.cumsum`` does, so every sampled
+position is the one a materialized path would hold.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import max_beams, max_upsilon, min_upsilon, rate_slope, tight_zeta
+from .optimize import max_beams, max_upsilon, rate_slope, tight_zeta
 from .params import SystemParams, snr_gamma
 from .performance import (
     avg_power_closed,
@@ -44,13 +44,15 @@ from .sweep import (
     build_schedule,
     comm_width,
     cycle_duration,
+    min_upsilon,
     trigger_width_branches,
 )
 
 SPEED_KINDS = ("constant-extreme", "piecewise-constant-uniform", "bang-bang")
 
 # Integration steps per microslot; speeds are constant within a step, so
-# explicit Euler is exact at this resolution.
+# explicit Euler is exact at this resolution. The switching speed
+# processes also dwell one microslot, this many steps, per speed segment.
 RESOLUTION = 100
 
 # Interval-membership slack relative to u_th, covering accumulated rounding
@@ -61,64 +63,15 @@ _MEMBERSHIP_SLACK = 1e-9
 # stays in cache: 1.35 us per trajectory at this size, 1.59 us at 100k rows.
 _BLOCK = 32_768
 
+# Random power profiles per batch of the Jensen check; two buffers of this
+# many profiles (0.8 MB each at the default grid) serve every batch. Freeing
+# larger ones raises glibc's dynamic mmap threshold, after which verify's
+# later large arrays come from the heap and its peak RSS can read ~10 MiB
+# higher.
+_JENSEN_BATCH = 10
+
 _PIECEWISE = SPEED_KINDS.index("piecewise-constant-uniform")
 _BANG_BANG = SPEED_KINDS.index("bang-bang")
-
-
-@dataclass(frozen=True)
-class SpeedProcess:
-    """Random speed process bounded by +/- phi/2.
-
-    ``dwell`` is the hold time between speed changes for the piecewise
-    kinds; it is snapped to a whole number of integration steps so the
-    Euler trajectory stays exact.
-    """
-
-    kind: str
-    seed: int
-    dwell: float = 0.0  # s; defaults to one microslot when <= 0
-
-    def __post_init__(self):
-        if self.kind not in SPEED_KINDS:
-            raise ValueError(f"unknown speed process kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Outcome of one simulated sweep for one trajectory."""
-
-    true_positions: np.ndarray  # sampled positions over the sweep phase, m
-    detected_beam: int          # 1-based beam index; 0 if never scanned (cannot happen)
-    covered: bool
-    final_width_ok: bool        # final position inside the beam's u_comm window
-
-
-@dataclass(frozen=True)
-class _SpeedDraws:
-    """Fixed-layout random inputs for a batch of trajectories."""
-
-    sign: np.ndarray    # +/-1 per trajectory
-    offset: np.ndarray  # switch-phase offset in steps
-    levels: np.ndarray  # uniform speed per dwell segment
-
-    def __getitem__(self, rows) -> _SpeedDraws:
-        return _SpeedDraws(self.sign[rows], self.offset[rows], self.levels[rows])
-
-
-def _n_segments(n_steps: int, dwell_steps: int) -> int:
-    return (n_steps + dwell_steps - 1) // dwell_steps + 1
-
-
-def _speed_draws(
-    rng: np.random.Generator, n_traj: int, n_steps: int, dwell_steps: int, phi: float
-) -> _SpeedDraws:
-    return _SpeedDraws(
-        sign=rng.integers(0, 2, size=n_traj) * 2 - 1,
-        offset=rng.integers(0, dwell_steps, size=n_traj),
-        levels=rng.uniform(
-            -0.5 * phi, 0.5 * phi, size=(n_traj, _n_segments(n_steps, dwell_steps))
-        ),
-    )
 
 
 def _sweep(
@@ -126,46 +79,44 @@ def _sweep(
     schedule: SweepSchedule,
     kinds: np.ndarray,
     p0: np.ndarray,
-    draws: _SpeedDraws,
-    dwell_steps: int,
-    resolution: int,
-    record: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    sign: np.ndarray,
+    offset: np.ndarray,
+    levels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Step a block of trajectories through the sweep phase.
 
     Row ``r`` starts at ``p0[r]`` and moves with speed process
     ``SPEED_KINDS[kinds[r]]``. Step ``j`` lies in speed segment
-    ``(j + offset) // dwell_steps``. Its speed there is ``sign * phi/2``
+    ``(j + offset) // RESOLUTION``. Its speed there is ``sign * phi/2``
     (constant-extreme), the same negated in odd segments (bang-bang), or
-    the segment's uniform level (piecewise). A beam detects a row if the
-    position lies in its scan interval at any sampled time of its own
-    microslot (slot boundaries belong to both adjacent slots); the first
-    such beam wins.
+    the segment's uniform level in ``levels`` (piecewise). A beam detects
+    a row if the position lies in its scan interval at any sampled time of
+    its own microslot (slot boundaries belong to both adjacent slots); the
+    first such beam wins.
 
     Returns the 1-based detected beam (0 if none) and the final position
-    of each row, and with ``record`` every sampled position, shape
-    (rows, n_beams*resolution + 1).
+    of each row.
     """
-    dt = params.delta_s / resolution
+    dt = params.delta_s / RESOLUTION
     n_rows = p0.size
     # Sorted by kind and then offset, the rows whose speed segment changes
-    # at step j (offset == -j mod dwell_steps) are one slice per kind.
-    key = kinds * dwell_steps + draws.offset
+    # at step j (offset == -j mod RESOLUTION) are one slice per kind.
+    key = kinds * RESOLUTION + offset
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(
-        key[order], np.arange(len(SPEED_KINDS) * dwell_steps + 1)
+        key[order], np.arange(len(SPEED_KINDS) * RESOLUTION + 1)
     ).tolist()
 
     def phase_slices(kind: int) -> list[slice]:
-        first = kind * dwell_steps
-        return [slice(bounds[first + k], bounds[first + k + 1]) for k in range(dwell_steps)]
+        first = kind * RESOLUTION
+        return [slice(bounds[first + k], bounds[first + k + 1]) for k in range(RESOLUTION)]
 
     flips = phase_slices(_BANG_BANG)
     loads = phase_slices(_PIECEWISE)
     piecewise = slice(loads[0].start, loads[-1].stop)
     # Per-step increments speed * dt, rounded as materialized speeds were.
-    inc = draws.sign[order] * (0.5 * params.phi) * dt
-    levels = draws.levels[order[piecewise]]
+    inc = sign[order] * (0.5 * params.phi) * dt
+    levels = levels[order[piecewise]]
     inc[piecewise] = levels[:, 0] * dt
 
     p0 = p0[order]
@@ -175,9 +126,6 @@ def _sweep(
     hit = np.empty(n_rows, dtype=bool)
     below = np.empty(n_rows, dtype=bool)
     detected = np.zeros(n_rows, dtype=np.int64)
-    samples = np.empty((n_rows, schedule.n_beams * resolution + 1)) if record else None
-    if record:
-        samples[:, 0] = pos
     slack = _MEMBERSHIP_SLACK * schedule.u_th
     j = 0
     for beam, (a, b) in enumerate(schedule.intervals, start=1):
@@ -185,13 +133,13 @@ def _sweep(
         hi = b + slack
         np.greater_equal(pos, lo, out=inside)
         inside &= np.less_equal(pos, hi, out=below)
-        for _ in range(resolution):
+        for _ in range(RESOLUTION):
             if j:
-                phase = -j % dwell_steps
+                phase = -j % RESOLUTION
                 flip = flips[phase]
                 np.negative(inc[flip], out=inc[flip])
                 load = loads[phase]
-                segment = (j + phase) // dwell_steps
+                segment = (j + phase) // RESOLUTION
                 rows = slice(load.start - piecewise.start, load.stop - piecewise.start)
                 np.multiply(levels[rows, segment], dt, out=inc[load])
             j += 1
@@ -200,15 +148,11 @@ def _sweep(
             np.greater_equal(pos, lo, out=hit)
             hit &= np.less_equal(pos, hi, out=below)
             inside |= hit
-            if record:
-                samples[:, j] = pos
         np.copyto(detected, beam, where=inside & (detected == 0))
 
     detected[order] = detected.copy()
     pos[order] = pos.copy()
-    if record:
-        samples[order] = samples.copy()
-    return detected, pos, samples
+    return detected, pos
 
 
 def _final_ok(
@@ -229,46 +173,6 @@ def _final_ok(
     return (detected > 0) & (final >= lo - slack) & (final <= hi + slack)
 
 
-def simulate_cycle(
-    params: SystemParams,
-    schedule: SweepSchedule,
-    process: SpeedProcess,
-    p0: float,
-    resolution: int = RESOLUTION,
-) -> TrajectoryResult:
-    """Simulate one trajectory through the sweep phase of a cycle.
-
-    ``p0`` is the start-of-cycle position in the schedule's local frame,
-    so it must lie in [0, u_th]. Identical inputs (including the process
-    seed) produce bit-identical results.
-    """
-    params.require_zero_drift()
-    if not 0.0 <= p0 <= schedule.u_th:
-        raise ValueError(
-            f"p0 = {p0} outside the start-of-cycle uncertainty interval "
-            f"[0, {schedule.u_th}]"
-        )
-    if resolution < 100:
-        raise ValueError(f"resolution must be at least 100, got {resolution!r}")
-    dt = params.delta_s / resolution
-    n_steps = schedule.n_beams * resolution
-    dwell = process.dwell if process.dwell > 0.0 else params.delta_s
-    dwell_steps = max(1, round(dwell / dt))
-    rng = np.random.default_rng(np.random.SeedSequence(process.seed))
-    draws = _speed_draws(rng, 1, n_steps, dwell_steps, params.phi)
-    kinds = np.array([SPEED_KINDS.index(process.kind)])
-    detected, final, samples = _sweep(
-        params, schedule, kinds, np.array([p0]), draws, dwell_steps, resolution, record=True
-    )
-    final_ok = _final_ok(schedule, detected, final, params.delta_s * params.phi)
-    return TrajectoryResult(
-        true_positions=samples[0],
-        detected_beam=int(detected[0]),
-        covered=bool(detected[0] > 0),
-        final_width_ok=bool(final_ok[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Numerical quadrature of the defining integrals
 # ---------------------------------------------------------------------------
@@ -278,7 +182,6 @@ def _cycle_terms(
     params: SystemParams, n_beams: int, u_th: float
 ) -> tuple[float, float, float]:
     """(gamma, u_comm, T) of a design, from the public geometry."""
-    params.require_zero_drift()
     return (
         snr_gamma(params),
         comm_width(params, u_th, n_beams),
@@ -400,9 +303,7 @@ def jensen_check(
     worst = -math.inf
     failures = 0
     n_cases = 0
-    # Batches of up to 100 profiles reuse two buffers: freshly allocated
-    # arrays this large are page-faulted in again on every batch.
-    batch = np.empty((min(100, n_perturbations + 2), grid_points))
+    batch = np.empty((min(_JENSEN_BATCH, n_perturbations + 2), grid_points))
     snr = np.empty_like(batch)
 
     def account(profiles: np.ndarray) -> None:
@@ -419,15 +320,16 @@ def jensen_check(
     if budget > 0.0:
         account(np.full((1, grid_points), budget))
         account(rng.permutation(wf)[None, :])
-        for start in range(0, n_perturbations, 100):
+        for start in range(0, n_perturbations, _JENSEN_BATCH):
             # Unit-scale exponential draws, the stream rng.exponential(1.0) gives.
-            profiles = rng.standard_exponential(out=batch[: min(100, n_perturbations - start)])
+            rows = min(_JENSEN_BATCH, n_perturbations - start)
+            profiles = rng.standard_exponential(out=batch[:rows])
             profiles *= (budget / np.mean(profiles, axis=1))[:, None]
             account(profiles)
     else:
         batch.fill(0.0)
-        for start in range(0, n_perturbations + 2, 100):
-            account(batch[: min(100, n_perturbations + 2 - start)])
+        for start in range(0, n_perturbations + 2, _JENSEN_BATCH):
+            account(batch[: min(_JENSEN_BATCH, n_perturbations + 2 - start)])
     return CheckResult("jensen_waterfilling", n_cases, failures, worst)
 
 
@@ -483,29 +385,30 @@ def quadrature_suite(
 
 
 def _coverage_point(
-    params: SystemParams,
-    schedule: SweepSchedule,
-    n_traj: int,
-    seed: int,
-    resolution: int,
+    params: SystemParams, schedule: SweepSchedule, n_traj: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detected beam and final position of each trajectory at one design point.
 
-    The draws for all ``n_traj`` trajectories come first, in a fixed order;
-    the trajectories then go through ``_sweep`` ``_BLOCK`` rows at a time.
+    Every trajectory's start, speed sign and switch offset are drawn first;
+    the trajectories then go through ``_sweep`` ``_BLOCK`` rows at a time,
+    each block drawing its speed levels just before it runs. The levels
+    fill row by row, so the stream is that of one (n_traj, segments) draw.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, schedule.n_beams)))
     p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
-    draws = _speed_draws(
-        rng, n_traj, schedule.n_beams * resolution, resolution, params.phi
-    )
+    sign = rng.integers(0, 2, size=n_traj) * 2 - 1
+    offset = rng.integers(0, RESOLUTION, size=n_traj)
+    # Step j < n_beams * RESOLUTION lies in segment (j + offset) // RESOLUTION.
+    n_segments = schedule.n_beams + 1
+    half = 0.5 * params.phi
     kinds = np.arange(n_traj) % len(SPEED_KINDS)
     detected = np.empty(n_traj, dtype=np.int64)
     final = np.empty(n_traj)
     for start in range(0, n_traj, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        detected[rows], final[rows], _ = _sweep(
-            params, schedule, kinds[rows], p0[rows], draws[rows], resolution, resolution
+        rows = slice(start, min(start + _BLOCK, n_traj))
+        levels = rng.uniform(-half, half, size=(rows.stop - start, n_segments))
+        detected[rows], final[rows] = _sweep(
+            params, schedule, kinds[rows], p0[rows], sign[rows], offset[rows], levels
         )
     return detected, final
 
@@ -515,7 +418,6 @@ def coverage_suite(
     points: Sequence[tuple[int, float]] | None = None,
     n_traj: int = 100_000,
     seed: int = 0,
-    resolution: int = RESOLUTION,
 ) -> list[CheckResult]:
     """Monte Carlo coverage and post-sweep width checks.
 
@@ -524,7 +426,6 @@ def coverage_suite(
     width. Trajectories are split round-robin over the speed process kinds,
     with dwell equal to one microslot.
     """
-    params.require_zero_drift()
     if points is None:
         points = ((2, 8.0), (3, 60.0), (5, 6.0))
     step = params.delta_s * params.phi
@@ -534,7 +435,7 @@ def coverage_suite(
     n_cases = 0
     for n_beams, ups in points:
         schedule = build_schedule(params, ups * step, n_beams)
-        detected, final = _coverage_point(params, schedule, n_traj, seed, resolution)
+        detected, final = _coverage_point(params, schedule, n_traj, seed)
         covered = detected > 0
         cover_fail += int(np.sum(~covered))
         width_fail += int(np.sum(covered & ~_final_ok(schedule, detected, final, step)))

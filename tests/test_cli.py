@@ -44,7 +44,7 @@ class TestOptimize:
         assert out == ""
         assert "p_max" in err
 
-    @pytest.mark.parametrize("command", ["sweep", "verify", "baseline"])
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
     def test_zero_power_budget_rejected_elsewhere(self, capsys, command):
         code, _, err = run_cli(capsys, command, "--pmax", "0")
         assert code == 2
@@ -341,6 +341,7 @@ def test_bad_flag_value_exit_2(capsys):
         ["baseline", "--seed", "1"],
         ["sweep", "--json"],
         ["verify", "--json", "--tuples", "1", "--trajectories", "3", "--profiles", "1"],
+        ["verify", "--pmax", "0"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -377,6 +378,16 @@ def test_defaults_match_golden_bytes(capsys, tmp_path, kind):
 
 
 GOLDEN_TESTS = Path(__file__).resolve().parent / "golden"
+
+
+def test_small_verify_matches_golden_bytes(capsys):
+    # No benchmark check compares verify's report bytes; this pins them.
+    code, out, _ = run_cli(
+        capsys, "verify", "--seed", "0", "--tuples", "20", "--trajectories", "3000",
+        "--profiles", "50",
+    )
+    assert code == 0
+    assert out.encode() == (GOLDEN_TESTS / "verify-seed0.csv").read_bytes()
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

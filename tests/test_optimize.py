@@ -294,10 +294,6 @@ class TestOptimizeDesign:
         assert a.upsilon == pytest.approx(b.upsilon, rel=1e-9)
         assert a.zeta == pytest.approx(b.zeta, rel=1e-9)
 
-    def test_rejects_drift(self):
-        with pytest.raises(ValueError, match="drift"):
-            optimize_design(make_params(v_drift=1.0))
-
     @pytest.mark.parametrize("budget", np.logspace(-2, 6, 9))
     def test_matches_per_count_bisection(self, budget):
         base = make_params()

@@ -22,13 +22,6 @@ class TestSystemParams:
             make_params(xi=1.2)
         make_params(xi=1.0)
 
-    def test_drift_stored_but_rejected_by_cycle_math(self):
-        p = make_params(v_drift=3.0)
-        assert p.v_drift == 3.0
-        with pytest.raises(ValueError, match="drift"):
-            p.require_zero_drift()
-        make_params().require_zero_drift()
-
 
 class TestSnrGamma:
     def test_simulation_table_value(self, params):

@@ -59,11 +59,6 @@ class TestBuildSchedule:
             build_schedule(p, u_th=lo, n_beams=6)
         assert err.value.branch == "beamwidth-nonnegativity"
 
-    def test_rejects_drift(self):
-        p = make_params(v_drift=1.0)
-        with pytest.raises(ValueError, match="drift"):
-            build_schedule(p, u_th=1.0, n_beams=2)
-
     @given(
         n_beams=st.integers(2, 10),
         margin=st.floats(1.0, 200.0),

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamcycle import (
     CheckResult,
-    SpeedProcess,
     avg_power_closed,
     avg_power_numeric,
     avg_rate_closed,
@@ -15,7 +15,6 @@ from beamcycle import (
     coverage_suite,
     jensen_check,
     quadrature_suite,
-    simulate_cycle,
     slope_sign_suite,
     snr_gamma,
     validation,
@@ -24,6 +23,7 @@ from beamcycle import (
 from conftest import COVERAGE_MUTANTS, make_params
 
 DEFAULT_POINTS = ((2, 8.0), (3, 60.0), (5, 6.0))  # coverage_suite's design points
+R = validation.RESOLUTION  # integration steps per microslot, and steps per speed segment
 
 
 def _rho_for_level(params, level):
@@ -34,16 +34,25 @@ def _rho_for_level(params, level):
 # streamed kernel must reproduce its outcomes bit for bit.
 
 
-def _speeds_from_draws(kind, draws, rows, n_steps, dwell_steps, phi):
-    """Per-step speeds for the trajectories ``rows``, shape (len(rows), n_steps)."""
+def _speed_draws(rng, n_traj, n_steps, phi):
+    """Speed draws of ``n_traj`` trajectories in one piece: (sign, offset, levels)."""
+    n_segments = (n_steps + R - 1) // R + 1
+    return (
+        rng.integers(0, 2, size=n_traj) * 2 - 1,
+        rng.integers(0, R, size=n_traj),
+        rng.uniform(-0.5 * phi, 0.5 * phi, size=(n_traj, n_segments)),
+    )
+
+
+def _speeds_from_draws(kind, sign, offset, levels, n_steps, phi):
+    """Per-step speeds of trajectories of one kind, shape (rows, n_steps)."""
     half = 0.5 * phi
-    sign = draws.sign[rows]
     if kind == "constant-extreme":
         return np.repeat(sign[:, None] * half, n_steps, axis=1).astype(float)
-    seg = (np.arange(n_steps)[None, :] + draws.offset[rows, None]) // dwell_steps
+    seg = (np.arange(n_steps)[None, :] + offset[:, None]) // R
     if kind == "bang-bang":
         return sign[:, None] * half * np.where(seg % 2 == 0, 1.0, -1.0)
-    return np.take_along_axis(draws.levels[rows], seg, axis=1)
+    return np.take_along_axis(levels, seg, axis=1)
 
 
 def _positions(p0, speeds, dt):
@@ -54,17 +63,17 @@ def _positions(p0, speeds, dt):
     return out
 
 
-def _detect(schedule, positions, delta_s_phi, resolution):
+def _detect(schedule, positions, delta_s_phi):
     """(covered, detected 1-based, final_ok) of materialized paths."""
     n = schedule.n_beams
     slack = validation._MEMBERSHIP_SLACK * schedule.u_th
     detected = np.zeros(positions.shape[0], dtype=np.int64)
     for i, (a, b) in enumerate(schedule.intervals):
-        window = positions[:, i * resolution : (i + 1) * resolution + 1]
+        window = positions[:, i * R : (i + 1) * R + 1]
         inside = np.any((window >= a - slack) & (window <= b + slack), axis=1)
         np.copyto(detected, i + 1, where=inside & (detected == 0))
     covered = detected > 0
-    final = positions[:, n * resolution]
+    final = positions[:, n * R]
     a_arr = np.array([iv[0] for iv in schedule.intervals])
     b_arr = np.array([iv[1] for iv in schedule.intervals])
     idx = np.maximum(detected - 1, 0)
@@ -75,36 +84,38 @@ def _detect(schedule, positions, delta_s_phi, resolution):
     return covered, detected, final_ok
 
 
-def _reference_positions(params, kinds, p0, draws, n_steps, dwell_steps):
+def _reference_positions(params, kinds, p0, draws, n_steps):
     """Sampled positions of each row, the rows of kind k built by _speeds_from_draws."""
     speeds = np.empty((len(p0), n_steps))
     for k, kind in enumerate(validation.SPEED_KINDS):
         sel = np.flatnonzero(kinds == k)
         if sel.size:
-            speeds[sel] = _speeds_from_draws(kind, draws, sel, n_steps, dwell_steps, params.phi)
-    return _positions(p0, speeds, params.delta_s / 100)
+            speeds[sel] = _speeds_from_draws(
+                kind, *(d[sel] for d in draws), n_steps, params.phi
+            )
+    return _positions(p0, speeds, params.delta_s / R)
 
 
 def _reference_point(params, schedule, n_traj, seed):
     """(covered, detected, final_ok, final position) per trajectory, in chunks."""
-    n_steps = schedule.n_beams * 100
+    n_steps = schedule.n_beams * R
     rng = np.random.default_rng(np.random.SeedSequence((seed, schedule.n_beams)))
     p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
-    draws = validation._speed_draws(rng, n_traj, n_steps, 100, params.phi)
+    draws = _speed_draws(rng, n_traj, n_steps, params.phi)
     kinds = np.arange(n_traj) % len(validation.SPEED_KINDS)
     outcomes = []
     for start in range(0, n_traj, 4096):
         rows = slice(start, start + 4096)
         positions = _reference_positions(
-            params, kinds[rows], p0[rows], draws[rows], n_steps, 100
+            params, kinds[rows], p0[rows], [d[rows] for d in draws], n_steps
         )
         step = params.delta_s * params.phi
-        outcomes.append((*_detect(schedule, positions, step, 100), positions[:, -1]))
+        outcomes.append((*_detect(schedule, positions, step), positions[:, -1]))
     return tuple(np.concatenate(parts) for parts in zip(*outcomes))
 
 
 def _streamed_point(params, schedule, n_traj, seed):
-    detected, final = validation._coverage_point(params, schedule, n_traj, seed, 100)
+    detected, final = validation._coverage_point(params, schedule, n_traj, seed)
     step = params.delta_s * params.phi
     return detected > 0, detected, validation._final_ok(schedule, detected, final, step), final
 
@@ -114,81 +125,14 @@ def _assert_same_outcomes(streamed, reference):
         assert np.array_equal(got, want), name
 
 
-class TestSimulateCycle:
-    def test_static_user_detected_by_first_beam(self, params):
-        schedule = build_schedule(params, 80 * params.delta_s * params.phi, 2)
-        p0 = 0.5 * (schedule.intervals[0][0] + schedule.intervals[0][1])
-        result = simulate_cycle(
-            params, schedule, SpeedProcess("piecewise-constant-uniform", seed=1), p0
-        )
-        # A piecewise process can wander, but from the center of beam 1's
-        # interval the user cannot leave it within one microslot here.
-        assert result.covered
-        assert result.detected_beam == 1
-        assert result.final_width_ok
-
-    def test_trajectory_shape_and_start(self, params):
-        schedule = build_schedule(params, 100 * params.delta_s * params.phi, 3)
-        result = simulate_cycle(
-            params, schedule, SpeedProcess("bang-bang", seed=9), p0=0.01
-        )
-        assert result.true_positions.shape == (3 * 100 + 1,)
-        assert result.true_positions[0] == 0.01
-
-    def test_identical_seeds_bit_identical(self, params):
-        schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
-        runs = [
-            simulate_cycle(
-                params, schedule, SpeedProcess("bang-bang", seed=1234), p0=0.001
-            )
-            for _ in range(2)
-        ]
-        assert np.array_equal(runs[0].true_positions, runs[1].true_positions)
-        assert runs[0].detected_beam == runs[1].detected_beam
-
-    def test_speed_bound_respected(self, params):
-        schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
-        for kind in ("constant-extreme", "piecewise-constant-uniform", "bang-bang"):
-            result = simulate_cycle(
-                params, schedule, SpeedProcess(kind, seed=5), p0=0.001
-            )
-            steps = np.diff(result.true_positions)
-            dt = params.delta_s / 100
-            assert np.all(np.abs(steps) <= 0.5 * params.phi * dt * (1 + 1e-12))
-
-    def test_p0_outside_interval_rejected(self, params):
-        schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
-        with pytest.raises(ValueError, match="p0"):
-            simulate_cycle(
-                params, schedule, SpeedProcess("bang-bang", seed=1), p0=-0.1
-            )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            SpeedProcess("brownian", seed=1)
-
-    @pytest.mark.parametrize("dwell_slots", [0.37, 2.5])
-    @pytest.mark.parametrize("kind", validation.SPEED_KINDS)
-    def test_matches_materialized_path(self, params, kind, dwell_slots):
-        schedule = build_schedule(params, 60 * params.delta_s * params.phi, 3)
-        n_steps = 3 * 100
-        dwell = dwell_slots * params.delta_s
-        dwell_steps = max(1, round(dwell / (params.delta_s / 100)))
-        for seed, p0 in enumerate(np.linspace(0.0, schedule.u_th, 7)):
-            result = simulate_cycle(params, schedule, SpeedProcess(kind, seed, dwell), p0)
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            draws = validation._speed_draws(rng, 1, n_steps, dwell_steps, params.phi)
-            kinds = np.array([validation.SPEED_KINDS.index(kind)])
-            positions = _reference_positions(
-                params, kinds, np.array([p0]), draws, n_steps, dwell_steps
-            )
-            covered, detected, final_ok = _detect(
-                schedule, positions, params.delta_s * params.phi, 100
-            )
-            assert np.array_equal(result.true_positions, positions[0])
-            assert result.detected_beam == detected[0]
-            assert result.covered == covered[0]
-            assert result.final_width_ok == final_ok[0]
+def _one_row(params, schedule, kind, p0, seed):
+    """(detected beam, final position, final_ok) of one trajectory through _sweep."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = _speed_draws(rng, 1, schedule.n_beams * R, params.phi)
+    kinds = np.array([validation.SPEED_KINDS.index(kind)])
+    detected, final = validation._sweep(params, schedule, kinds, np.array([p0]), *draws)
+    final_ok = validation._final_ok(schedule, detected, final, params.delta_s * params.phi)
+    return int(detected[0]), float(final[0]), bool(final_ok[0])
 
 
 class TestCoverageKernel:
@@ -212,6 +156,37 @@ class TestCoverageKernel:
             _streamed_point(params, schedule, n_traj, 3),
             _reference_point(params, schedule, n_traj, 3),
         )
+
+    def test_static_user_detected_by_first_beam(self, params):
+        schedule = build_schedule(params, 80 * params.delta_s * params.phi, 2)
+        p0 = 0.5 * (schedule.intervals[0][0] + schedule.intervals[0][1])
+        # Beam 1 scans its interval from the first sample on, and within one
+        # microslot no speed process carries the user out of it here.
+        for kind in validation.SPEED_KINDS:
+            detected, _, final_ok = _one_row(params, schedule, kind, p0, seed=1)
+            assert detected == 1, kind
+            assert final_ok, kind
+
+    def test_identical_seeds_bit_identical(self, params):
+        schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
+        for kind in validation.SPEED_KINDS:
+            runs = [_one_row(params, schedule, kind, 0.001, seed=1234) for _ in range(2)]
+            assert runs[0] == runs[1], kind
+        points = [validation._coverage_point(params, schedule, 30, seed=1234) for _ in range(2)]
+        for got, want in zip(*points):
+            assert np.array_equal(got, want)
+
+    def test_speed_bound_respected(self, params):
+        # Each of the n_beams * R steps moves a user by at most phi/2 * dt,
+        # and a constant-extreme user moves by exactly that.
+        schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
+        bound = 0.5 * params.phi * schedule.n_beams * params.delta_s
+        for kind in validation.SPEED_KINDS:
+            _, final, _ = _one_row(params, schedule, kind, 0.001, seed=5)
+            moved = abs(final - 0.001)
+            assert moved <= bound * (1 + 1e-12), kind
+            if kind == "constant-extreme":
+                assert moved == pytest.approx(bound, rel=1e-12)
 
 
 class TestQuadrature:
@@ -271,7 +246,7 @@ class TestJensen:
 
     def test_zero_budget_counts_every_profile(self, params):
         # rho = 0 gives an all-zero water-filling profile; 252 zero profiles
-        # take three batches.
+        # take 26 batches, the last one short.
         u_th = 50 * params.delta_s * params.phi
         result = jensen_check(params, 2, u_th, 0.0, n_perturbations=250)
         assert result == CheckResult("jensen_waterfilling", 253, 0, 0.0)
@@ -328,3 +303,30 @@ class TestSuites:
         for result in quadrature_suite(params, n_tuples=0):
             assert result.n_cases == 0
             assert not result.passed
+
+
+def _traced_peak(fn):
+    """Peak bytes that ``fn()`` holds allocated at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Allocation peaks of the suites at verify's defaults.
+
+    jensen_check reuses two small batch buffers, and coverage_suite draws
+    its speed levels one block at a time, so neither holds an array sized
+    by the whole run.
+    """
+
+    def test_jensen_check_peak(self, params):
+        u_th = 100 * params.delta_s * params.phi
+        rho = _rho_for_level(params, 0.8 * u_th)
+        assert _traced_peak(lambda: jensen_check(params, 2, u_th, rho)) < 4 * 2**20
+
+    def test_coverage_suite_peak(self, params):
+        assert _traced_peak(lambda: coverage_suite(params)) < 12.5 * 2**20
