@@ -27,7 +27,6 @@ from .optimize import (
 )
 from .params import SystemParams, snr_gamma
 from .performance import (
-    NormalizedDesign,
     avg_power_closed,
     avg_rate_closed,
     denormalize,
@@ -35,7 +34,6 @@ from .performance import (
     norm_power,
     norm_power_budget,
     norm_rate,
-    normalize,
     waterfilling_power,
 )
 from .sweep import (
@@ -64,7 +62,6 @@ __all__ = [
     "BaselineConfig",
     "CheckResult",
     "FeasibilityError",
-    "NormalizedDesign",
     "OptimalDesign",
     "SweepSchedule",
     "SystemParams",
@@ -88,7 +85,6 @@ __all__ = [
     "norm_power",
     "norm_power_budget",
     "norm_rate",
-    "normalize",
     "optimize_design",
     "power_for_avg",
     "quadrature_suite",

@@ -53,6 +53,11 @@ _CONFIG_KEYS = set(DEFAULTS) | {
     "pt",
 }
 
+# Upper bounds on verify's case counts, 10 to 100 times their defaults, so
+# that every run ends in bounded time. The coverage suite also draws every
+# trajectory's start up front: an unbounded count could end in a MemoryError.
+VERIFY_CAPS = {"tuples": 10_000, "trajectories": 1_000_000, "profiles": 100_000}
+
 _POWER_GRID = tuple(1e-4 * 10 ** (i / 4.0) for i in range(9))  # 1e-4 .. 1e-2 W
 _SPEED_GRID = tuple(float(v) for v in range(5, 41, 5))         # m/s
 
@@ -117,7 +122,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             cfg[key] = flag
 
-    if args.command == "optimize" and cfg["p_max"] == 0.0:
+    if args.command == "verify":
+        # No verification suite reads the budget, so a config file's
+        # p_max, legal for optimize or not, must not stop verify.
+        cfg["p_max"] = DEFAULTS["p_max"]
+    elif args.command == "optimize" and cfg["p_max"] == 0.0:
         # optimize reports every effectively zero budget as the zero-rate
         # design (see cmd_optimize). SystemParams holds positive budgets
         # only, so zero becomes the smallest one, which that branch takes.
@@ -258,9 +267,10 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    for flag in ("tuples", "trajectories", "profiles"):
-        if getattr(args, flag) <= 0:
-            raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)}")
+    for flag, cap in VERIFY_CAPS.items():
+        count = getattr(args, flag)
+        if not 0 < count <= cap:
+            raise ValueError(f"--{flag} must be in 1..{cap}, got {count}")
     if not math.isfinite(args.perturb_closed_form):
         raise ValueError(
             f"--perturb-closed-form must be finite, got {args.perturb_closed_form}"
@@ -327,11 +337,18 @@ def _make_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="inject a relative error into the closed forms (self-test)",
     )
-    verify.add_argument("--tuples", type=int, default=200, help="quadrature comparisons")
     verify.add_argument(
-        "--trajectories", type=int, default=100_000, help="Monte Carlo trajectories per point"
+        "--tuples", type=int, default=200,
+        help=f"quadrature comparisons (at most {VERIFY_CAPS['tuples']})",
     )
-    verify.add_argument("--profiles", type=int, default=1000, help="random power profiles")
+    verify.add_argument(
+        "--trajectories", type=int, default=100_000,
+        help=f"Monte Carlo trajectories per point (at most {VERIFY_CAPS['trajectories']})",
+    )
+    verify.add_argument(
+        "--profiles", type=int, default=1000,
+        help=f"random power profiles (at most {VERIFY_CAPS['profiles']})",
+    )
 
     baseline = sub.add_parser(
         "baseline", parents=[shared, budget, as_json], help="fixed-beam comparison point"

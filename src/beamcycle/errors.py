@@ -1,6 +1,4 @@
-"""Exception types and the check helper shared across the package."""
-
-import numpy as np
+"""Exception types shared across the package."""
 
 
 class FeasibilityError(ValueError):
@@ -16,11 +14,3 @@ class FeasibilityError(ValueError):
         super().__init__(message)
         self.branch = branch
 
-
-def _any(mask) -> bool:
-    """Whether a check fails anywhere: ``mask`` is a bool or a numpy bool array.
-
-    ``np.any`` would do for both, but costs microseconds on a plain bool,
-    which the scalar callers of the closed forms pay many times per check.
-    """
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)

@@ -5,9 +5,16 @@ always tight at the optimum, which pins ``zeta`` as a function of
 ``upsilon`` (``tight_zeta``); along that curve the normalized rate is
 unimodal in ``upsilon`` with a sign surrogate of its derivative
 (``rate_slope``) that decreases strictly, so the inner maximization reduces
-to bisection. The outer search over the beam count is exhaustive up to
-``max_beams``: every beam count is bisected at once, one numpy lane each,
-so its cost is linear in ``max_beams``.
+to bisection. The outer search scans the beam counts 2, 3, 4, ... in order,
+bisecting each, and stops at the first count from 5 on whose rate bound
+(``_rate_bound``) is below the best rate found: the bound does not rise
+from 5 beams on, so no later count can win. The stop is proved, not
+guessed, and the scan bisects a few dozen counts at any budget, where
+``max_beams`` runs into the thousands.
+
+Everything here works on Python floats with ``math``: the bisection calls
+these functions thousands of times per design, and numpy's per-call cost
+on scalars would dominate.
 """
 
 from __future__ import annotations
@@ -15,12 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import FeasibilityError, _any
+from .errors import FeasibilityError
 from .params import SystemParams
 from .performance import (
-    NormalizedDesign,
     avg_power_closed,
     avg_rate_closed,
     denormalize,
@@ -34,6 +38,10 @@ from .sweep import trigger_width_branches
 # Relative nudge away from the pole of tight_zeta at the lower bracket end.
 _BRACKET_EPS = 1e-9
 
+# Relative slack on _rate_bound before it prunes: covers the rounding of the
+# bound and of the rates it is compared with.
+_BOUND_SLACK = 1e-12
+
 _MAX_BEAMS_CAP = 10**6
 
 
@@ -42,15 +50,14 @@ def max_upsilon(n_beams: int, p_hat_max: float) -> float:
 
     At ``upsilon = max_upsilon`` the normalized power at zeta = 0 equals
     ``p_hat_max`` exactly, so no headroom is left for the water level.
-    Elementwise when ``n_beams`` is a numpy array.
     """
-    if _any(n_beams < 2):
+    if n_beams < 2:
         raise ValueError(f"need at least 2 sweeping beams, got {n_beams!r}")
     if p_hat_max <= 0.0:
         raise ValueError(f"p_hat_max must be positive, got {p_hat_max!r}")
     n = n_beams
     return trigger_width_branches(n_beams)[0] + n * p_hat_max / (n - 1.0) * (
-        1.0 + np.sqrt(1.0 + 2.0 * n / p_hat_max)
+        1.0 + math.sqrt(1.0 + 2.0 * n / p_hat_max)
     )
 
 
@@ -93,15 +100,14 @@ def max_beams(p_hat_max: float) -> int:
 def tight_zeta(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     """Water-level headroom that makes the power constraint tight.
 
-    Solves norm_power(n_beams, upsilon, zeta) = p_hat_max for zeta >= 0,
-    elementwise when ``upsilon`` and ``n_beams`` are numpy arrays.
+    Solves norm_power(n_beams, upsilon, zeta) = p_hat_max for zeta >= 0.
     Singular at upsilon equal to the post-sweep width (no data phase);
     negative results mean ``upsilon`` exceeds ``max_upsilon`` and are
     rejected as infeasible.
     """
     n = n_beams
     u_hat = norm_comm_width(upsilon, n_beams)
-    if _any(upsilon <= u_hat):
+    if upsilon <= u_hat:
         raise ValueError(
             f"upsilon = {upsilon} does not exceed the post-sweep width "
             f"{u_hat}; the power-tight headroom is singular there"
@@ -112,7 +118,7 @@ def tight_zeta(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     # which is where its rounding comes from; at small budgets that ratio
     # is large, so a tolerance relative to the budget alone would reject
     # max_upsilon itself.
-    if _any(slack < -1e-12 * p_zero * upsilon / (upsilon - u_hat)):
+    if slack < -1e-12 * p_zero * upsilon / (upsilon - u_hat):
         raise FeasibilityError(
             f"upsilon = {upsilon} needs more than the power budget even at "
             f"zero headroom (exceeds max_upsilon = {max_upsilon(n_beams, p_hat_max)})"
@@ -123,7 +129,7 @@ def tight_zeta(upsilon: float, n_beams: int, p_hat_max: float) -> float:
         / (n * upsilon * (upsilon - u_hat))
         * slack
     )
-    return np.maximum(zeta, 0.0)
+    return max(zeta, 0.0)
 
 
 def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
@@ -131,17 +137,16 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
 
     Positive where widening the trigger width still pays, negative past the
     optimum; strictly decreasing in ``upsilon``. Defined on the open
-    interval between the shrinkage bound and ``max_upsilon``. Elementwise
-    when ``upsilon`` and ``n_beams`` are numpy arrays.
+    interval between the shrinkage bound and ``max_upsilon``.
     """
     n = n_beams
     shrink = trigger_width_branches(n_beams)[0]
-    if _any(upsilon <= shrink):
+    if upsilon <= shrink:
         raise ValueError(
             f"upsilon = {upsilon} at or below the shrinkage bound {shrink}"
         )
     hi = max_upsilon(n_beams, p_hat_max)
-    if _any(upsilon > hi * (1.0 + 1e-12)):
+    if upsilon > hi * (1.0 + 1e-12):
         raise ValueError(f"upsilon = {upsilon} above max_upsilon = {hi}")
     u_hat = norm_comm_width(upsilon, n_beams)
     zeta = tight_zeta(upsilon, n_beams, p_hat_max)
@@ -149,33 +154,27 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     return (
         -(upsilon - u_hat) / (upsilon * (1.0 + zeta)) * ((n - 1.0) * w + 2.0 * n) / (2.0 * n)
         - (n - 1.0) * w / (n * (1.0 + zeta)) * zeta
-        + n * np.log1p(zeta)
-        + (n / 2.0 + 1.0) * np.log(upsilon / u_hat)
+        + n * math.log1p(zeta)
+        + (n / 2.0 + 1.0) * math.log(upsilon / u_hat)
     )
 
 
 def slope_root(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
-    """Unique zero of ``rate_slope`` in its sign-change bracket, by bisection.
-
-    ``n_beams`` is one beam count or a numpy array of them. An array is
-    bisected in lockstep: every lane halves its own bracket until it is
-    within ``tol``, then stays put, so each lane ends exactly where a
-    bisection of that beam count alone would.
-    """
+    """Unique zero of ``rate_slope`` in its sign-change bracket, by bisection."""
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    top = int(np.max(n_beams))
-    # The threshold increases with the count: this is top > max_beams.
-    if beam_count_threshold(top) > p_hat_max:
+    # The threshold increases with the count: this is n_beams > max_beams,
+    # without computing max_beams.
+    if beam_count_threshold(n_beams) > p_hat_max:
         raise FeasibilityError(
-            f"{top} beams infeasible at normalized budget {p_hat_max} "
+            f"{n_beams} beams infeasible at normalized budget {p_hat_max} "
             f"(max {max_beams(p_hat_max)})"
         )
     lo = trigger_width_branches(n_beams)[0] * (1.0 + _BRACKET_EPS)
     hi = max_upsilon(n_beams, p_hat_max)
     f_lo = rate_slope(lo, n_beams, p_hat_max)
     f_hi = rate_slope(hi, n_beams, p_hat_max)
-    if _any(f_lo <= 0.0) or _any(f_hi >= 0.0):
+    if f_lo <= 0.0 or f_hi >= 0.0:
         # The slope surrogate is provably positive at the lower end and
         # negative at max_upsilon; anything else is a transcription bug.
         raise RuntimeError(
@@ -183,13 +182,13 @@ def slope_root(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
             f"slope({hi}) = {f_hi}"
         )
     for _ in range(200):
-        live = hi - lo > tol * hi
-        if not _any(live):
+        if not hi - lo > tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        rising = rate_slope(mid, n_beams, p_hat_max) > 0.0
-        lo = np.where(live & rising, mid, lo)
-        hi = np.where(live & ~rising, mid, hi)
+        if rate_slope(mid, n_beams, p_hat_max) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -198,16 +197,51 @@ def best_upsilon(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
 
     Bisects ``rate_slope`` on its sign-change bracket, then clamps to the
     beamwidth-nonnegativity bound (which binds only for 5+ beams).
-    Elementwise when ``n_beams`` is a numpy array.
     """
-    return np.maximum(
-        trigger_width_branches(n_beams)[1], slope_root(n_beams, p_hat_max, tol)
-    )
+    return max(trigger_width_branches(n_beams)[1], slope_root(n_beams, p_hat_max, tol))
+
+
+def _rate_bound(n_beams: int, p_hat_max: float) -> float:
+    """An upper bound on the normalized rate of ``n_beams`` beams at its optimum.
+
+    ``B(n) = 1 + log1p(tight_zeta(lo(n), n, p_hat))`` with
+    ``lo(n) = max(nonneg(n), shrink(n) * (1 + _BRACKET_EPS))``, the two
+    ``trigger_width_branches``. Why it holds, and why a scan may stop at it:
+
+    (a) The rate is below the bound: ``norm_rate <= 1 + log1p(zeta*)``,
+        because ``pref * (upsilon - u_hat) <= 1`` for ``n >= 2``, the term
+        ``-u_hat * ln(upsilon / u_hat)`` is ``<= 0``, and ``zeta* >= 0``.
+    (b) ``tight_zeta`` falls in ``upsilon``: with ``a = upsilon - u_hat``
+        and ``w = upsilon + n/2 - 1`` it is
+        ``(n-1) * w * p_hat / (n * upsilon * a) - a / (2 * upsilon)``, and
+        both terms decrease in ``upsilon``.
+    (c) The optimum lies at or above ``lo(n)``: ``slope_root`` never leaves
+        its bracket, whose lower end is ``shrink * (1 + _BRACKET_EPS)``, and
+        ``best_upsilon`` clamps to ``nonneg``. So ``zeta* <= zeta(lo(n))``.
+    (d) The bound falls in ``n`` from 5 on: there ``lo = (n-1)(n-2)/2`` and
+        ``zeta(lo) = 2 p_hat / (n^2-5n+2) - (n^2-5n+2) / (2 (n-1)(n-2))``,
+        which falls in ``n``, and so does its clamp at 0 in ``tight_zeta``.
+        So ``B`` does not rise from ``n = 5`` on, and
+        once ``B(n) < best`` there, every later count ``m`` has
+        ``rate(m) <= B(m) <= B(n) < best``.
+
+    ``min_upsilon(n) * (1 + _BRACKET_EPS)`` would not do for ``lo``: where
+    the nonnegativity clamp binds, the optimum is ``nonneg`` exactly, below
+    that value.
+    """
+    shrink, nonneg = trigger_width_branches(n_beams)
+    lo = max(nonneg, shrink * (1.0 + _BRACKET_EPS))
+    return 1.0 + math.log1p(tight_zeta(lo, n_beams, p_hat_max))
 
 
 @dataclass(frozen=True)
 class OptimalDesign:
-    """Global optimum with both normalized and physical coordinates."""
+    """Global optimum with both normalized and physical coordinates.
+
+    ``per_beam_count`` lists the beam counts the scan bisected, in order;
+    the counts after the last one up to ``max_beams`` were pruned by
+    ``_rate_bound``.
+    """
 
     n_beams: int
     upsilon: float
@@ -222,26 +256,26 @@ class OptimalDesign:
 def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:
     """Maximize the average rate subject to the average power budget.
 
-    Solves the normalized per-beam-count problems by bisection, picks the
-    best beam count exhaustively (ties toward fewer beams), and converts
-    back to physical units. The power constraint is tight at the result.
+    Bisects the normalized per-beam-count problems for n = 2, 3, ... in
+    order and keeps the best (ties toward fewer beams), stopping at the
+    first count from 5 on that ``_rate_bound`` proves cannot win, or at
+    ``max_beams``; then converts back to physical units. The power
+    constraint is tight at the result.
     """
     p_hat_max = norm_power_budget(params)
-    n_max = max_beams(p_hat_max)
-    lanes = np.arange(2, n_max + 1, dtype=float)  # one lane per beam count
-    ups = best_upsilon(lanes, p_hat_max, tol=tol)
-    zetas = tight_zeta(ups, lanes, p_hat_max)
     candidates = []
     best = None
-    for n, ups_n, zeta in zip(range(2, n_max + 1), ups.tolist(), zetas.tolist()):
-        rate = norm_rate(n, ups_n, zeta)
-        candidates.append((n, ups_n, rate))
+    for n in range(2, max_beams(p_hat_max) + 1):
+        if n >= 5 and _rate_bound(n, p_hat_max) * (1.0 + _BOUND_SLACK) < best[2]:
+            break
+        ups = best_upsilon(n, p_hat_max, tol=tol)
+        zeta = tight_zeta(ups, n, p_hat_max)
+        rate = norm_rate(n, ups, zeta)
+        candidates.append((n, ups, rate))
         if best is None or rate > best[2]:
-            best = (n, ups_n, rate, zeta)
+            best = (n, ups, rate, zeta)
     n_star, ups_star, _, zeta_star = best
-    u_th_star, rho_star = denormalize(
-        params, NormalizedDesign(n_star, ups_star, zeta_star, feasible=True)
-    )
+    u_th_star, rho_star = denormalize(params, ups_star, zeta_star)
     return OptimalDesign(
         n_beams=n_star,
         upsilon=ups_star,

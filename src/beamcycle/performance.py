@@ -16,13 +16,10 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import FeasibilityError, _any
+from .errors import FeasibilityError
 from .params import SystemParams, snr_gamma
-from .sweep import comm_width, cycle_duration, min_u_th, min_upsilon
+from .sweep import comm_width, cycle_duration, min_u_th
 
 LN2 = math.log(2.0)
 
@@ -94,11 +91,8 @@ def avg_power_closed(
 
 
 def norm_comm_width(upsilon: float, n_beams: int) -> float:
-    """Post-sweep width in drift units: upsilon/n + n/2 + 3/2 - 1/n.
-
-    Elementwise when ``upsilon`` and ``n_beams`` are numpy arrays.
-    """
-    if _any(n_beams < 2):
+    """Post-sweep width in drift units: upsilon/n + n/2 + 3/2 - 1/n."""
+    if n_beams < 2:
         raise ValueError(f"need at least 2 sweeping beams, got {n_beams!r}")
     n = n_beams
     return upsilon / n + n / 2.0 + 1.5 - 1.0 / n
@@ -111,10 +105,10 @@ def _check_normalized(n_beams: int, upsilon: float, zeta: float) -> float:
     is deliberately not required here: the per-beam-count optimizer
     evaluates these expressions below that bound before clamping.
     """
-    if _any(upsilon <= 0.0):
+    if upsilon <= 0.0:
         raise ValueError(f"upsilon must be positive, got {upsilon!r}")
     u_hat = norm_comm_width(upsilon, n_beams)
-    if _any(zeta < (u_hat / upsilon - 1.0) - _EPS):
+    if zeta < (u_hat / upsilon - 1.0) - _EPS:
         raise ValueError(
             f"zeta = {zeta} below the zero-power boundary {u_hat / upsilon - 1.0}"
         )
@@ -136,16 +130,13 @@ def norm_rate(n_beams: int, upsilon: float, zeta: float) -> float:
 
 
 def norm_power(n_beams: int, upsilon: float, zeta: float) -> float:
-    """Normalized average power: d*gamma/(delta_s*phi) times the physical one.
-
-    Elementwise over numpy arrays of ``n_beams``, ``upsilon`` and ``zeta``.
-    """
+    """Normalized average power: d*gamma/(delta_s*phi) times the physical one."""
     u_hat = _check_normalized(n_beams, upsilon, zeta)
     n = n_beams
     pref = n / (2.0 * (n - 1.0) * (upsilon + n / 2.0 - 1.0))
     value = (upsilon - u_hat) * (2.0 * upsilon * (1.0 + zeta) - upsilon - u_hat)
     # Idle tail of the data phase: a term only below zero headroom.
-    value = value + upsilon**2 * np.minimum(zeta, 0.0) ** 2
+    value = value + upsilon**2 * min(zeta, 0.0) ** 2
     return pref * value
 
 
@@ -154,32 +145,9 @@ def norm_power_budget(params: SystemParams) -> float:
     return params.d * snr_gamma(params) / (params.delta_s * params.phi) * params.p_max
 
 
-@dataclass(frozen=True)
-class NormalizedDesign:
-    """Dimensionless design point (n_beams, upsilon, zeta)."""
-
-    n_beams: int
-    upsilon: float
-    zeta: float
-    feasible: bool  # upsilon above its minimum and zeta above the power floor
-
-
-def normalize(
-    params: SystemParams, u_th: float, rho: float, n_beams: int
-) -> NormalizedDesign:
-    """Map a physical design (u_th, rho) to dimensionless (upsilon, zeta)."""
+def denormalize(params: SystemParams, upsilon: float, zeta: float) -> tuple[float, float]:
+    """Physical design (u_th, rho) of the dimensionless (upsilon, zeta)."""
     step = params.delta_s * params.phi
-    upsilon = u_th / step
-    zeta = params.d * snr_gamma(params) * rho / (step * upsilon) - 1.0
-    u_hat = norm_comm_width(upsilon, n_beams)
-    feasible = upsilon >= min_upsilon(n_beams) and zeta >= u_hat / upsilon - 1.0
-    return NormalizedDesign(n_beams=n_beams, upsilon=upsilon, zeta=zeta, feasible=feasible)
-
-
-def denormalize(params: SystemParams, design: NormalizedDesign) -> tuple[float, float]:
-    """Inverse of :func:`normalize`: recover (u_th, rho)."""
-    step = params.delta_s * params.phi
-    u_th = design.upsilon * step
-    rho = (1.0 + design.zeta) * step * design.upsilon / (params.d * snr_gamma(params))
+    u_th = upsilon * step
+    rho = (1.0 + zeta) * step * upsilon / (params.d * snr_gamma(params))
     return u_th, rho
-

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FeasibilityError, _any
+from .errors import FeasibilityError
 from .params import SystemParams
 
 
@@ -25,9 +25,8 @@ def trigger_width_branches(n_beams: int) -> tuple[float, float]:
 
     The first branch makes the sweep actually reduce the uncertainty width
     (u_comm <= u_th); the second keeps the first beamwidth nonnegative.
-    ``n_beams`` may also be a numpy array of beam counts.
     """
-    if _any(n_beams < 2):
+    if n_beams < 2:
         raise ValueError(f"need at least 2 sweeping beams, got {n_beams!r}")
     n = n_beams
     shrink = (n * n / 2.0 + 1.5 * n - 1.0) / (n - 1.0)

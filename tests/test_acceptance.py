@@ -10,7 +10,6 @@ import numpy as np
 
 from beamcycle import (
     BaselineConfig,
-    NormalizedDesign,
     avg_power_closed,
     avg_rate_closed,
     coverage_suite,
@@ -76,7 +75,7 @@ def test_criterion_2_normalization_identity():
                 xi=float(rng.uniform(0.5, 1.0)),
                 phi=float(rng.uniform(5.0, 100.0)),
             )
-            u_th, rho = denormalize(p, NormalizedDesign(n, ups, zeta, True))
+            u_th, rho = denormalize(p, ups, zeta)
             r_hat = LN2 * avg_rate_closed(p, n, u_th, rho) / p.w_tot
             p_hat = (
                 p.d * snr_gamma(p) / (p.delta_s * p.phi)

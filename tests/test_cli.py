@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from beamcycle.cli import dbm_per_hz_to_w_per_hz, main
+from beamcycle import CheckResult
+from beamcycle.cli import VERIFY_CAPS, dbm_per_hz_to_w_per_hz, main
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +208,34 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("flag", ["tuples", "trajectories", "profiles"])
+    def test_counts_capped_before_any_work(self, capsys, monkeypatch, flag):
+        calls = []
+
+        def stub(params, **counts):
+            calls.append(counts)
+            return [CheckResult("stub", 1, 0, 0.0)]
+
+        monkeypatch.setattr("beamcycle.cli.run_all", stub)
+        cap = VERIFY_CAPS[flag]
+        code, out, err = run_cli(capsys, "verify", f"--{flag}", str(cap + 1))
+        assert code == 2
+        assert out == "" and not calls
+        assert err.startswith("error:") and f"--{flag}" in err
+        # The cap itself is accepted; the stub stands in for the run.
+        assert run_cli(capsys, "verify", f"--{flag}", str(cap))[0] == 0
+        assert len(calls) == 1
+
+    def test_ignores_config_budget(self, capsys, tmp_path):
+        # verify reads no budget, so one that optimize would take as zero
+        # neither stops it nor changes its report.
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("p_max = 0\n")
+        small = ["verify", "--tuples", "2", "--trajectories", "30", "--profiles", "2"]
+        plain = run_cli(capsys, *small)
+        assert plain[0] == 0
+        assert run_cli(capsys, *small, "--config", str(cfg)) == plain
 
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_cli(

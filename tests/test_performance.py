@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from beamcycle import (
     FeasibilityError,
-    NormalizedDesign,
     avg_power_closed,
     avg_rate_closed,
     comm_width,
@@ -18,7 +17,6 @@ from beamcycle import (
     norm_power,
     norm_power_budget,
     norm_rate,
-    normalize,
     snr_gamma,
     waterfilling_power,
 )
@@ -97,20 +95,20 @@ class TestClosedForms:
         # ln(2)/w_tot * avg rate equals the dimensionless form at the
         # matching (upsilon, zeta), and likewise for power.
         p = make_params(delta_s=1e-5, phi=10.0)
-        u_th = 1.0
-        step = p.delta_s * p.phi
+        upsilon = 1e4  # u_th = 1 m
         for level in (1.25, 0.8, 0.6):
-            rho = _rho_for_level(p, level * u_th)
-            design = normalize(p, u_th, rho, 2)
+            zeta = level - 1.0  # water level at level * u_th
+            u_th, rho = denormalize(p, upsilon, zeta)
+            assert u_th == pytest.approx(1.0, rel=1e-15)
+            assert rho == pytest.approx(_rho_for_level(p, level * u_th), rel=1e-14)
             assert LN2 * avg_rate_closed(p, 2, u_th, rho) / p.w_tot == pytest.approx(
-                norm_rate(2, design.upsilon, design.zeta), rel=1e-12
+                norm_rate(2, upsilon, zeta), rel=1e-12
             )
             # norm_power_budget scales p_max by the same factor as norm_power.
             scale = norm_power_budget(p) / p.p_max
             assert scale * avg_power_closed(p, 2, u_th, rho) == pytest.approx(
-                norm_power(2, design.upsilon, design.zeta), rel=1e-12
+                norm_power(2, upsilon, zeta), rel=1e-12
             )
-            assert design.upsilon == pytest.approx(u_th / step, rel=1e-15)
 
 
 class TestNormCommWidth:
@@ -137,7 +135,7 @@ class TestNormalizedForms:
         from beamcycle import avg_rate_numeric
 
         p = make_params()
-        u_th, rho = denormalize(p, NormalizedDesign(2, 8.0, 0.25, True))
+        u_th, rho = denormalize(p, 8.0, 0.25)
         numeric = LN2 * avg_rate_numeric(p, 2, u_th, rho) / p.w_tot
         assert norm_rate(2, 8.0, 0.25) == pytest.approx(numeric, rel=1e-8)
 
@@ -172,23 +170,23 @@ class TestNormalizedForms:
             norm_rate(2, 8.0, zeta - 1e-3)
 
 
+def _normalize(params, u_th, rho):
+    """The normalization's definitions (module docstring), inverse of denormalize."""
+    step = params.delta_s * params.phi
+    upsilon = u_th / step
+    return upsilon, params.d * snr_gamma(params) * rho / (step * upsilon) - 1.0
+
+
 class TestNormalizeRoundTrip:
     def test_upsilon_is_width_ratio(self):
         p = make_params(delta_s=1e-5, phi=10.0)
-        design = normalize(p, 1.0, _rho_for_level(p, 1.0), 2)
-        assert design.upsilon == pytest.approx(1e4, rel=1e-15)
+        u_th, _ = denormalize(p, 1e4, 0.0)
+        assert u_th == pytest.approx(1.0, rel=1e-15)
 
     def test_zeta_zero_when_level_equals_width(self):
         p = make_params()
-        u_th = 0.01
-        design = normalize(p, u_th, _rho_for_level(p, u_th), 3)
-        assert design.zeta == pytest.approx(0.0, abs=1e-14)
-
-    def test_feasibility_flag(self):
-        p = make_params()
-        step = p.delta_s * p.phi
-        assert normalize(p, 8.0 * step, _rho_for_level(p, 9.0 * step), 2).feasible
-        assert not normalize(p, 3.0 * step, _rho_for_level(p, 4.0 * step), 2).feasible
+        u_th, rho = denormalize(p, 0.01 / (p.delta_s * p.phi), 0.0)
+        assert rho == pytest.approx(_rho_for_level(p, u_th), rel=1e-14)
 
     @given(
         upsilon=st.floats(4.0, 1e6),
@@ -199,19 +197,18 @@ class TestNormalizeRoundTrip:
     @settings(max_examples=200)
     def test_round_trip(self, upsilon, zeta, delta_s, phi):
         p = make_params(delta_s=delta_s, phi=phi)
-        u_th, rho = denormalize(p, NormalizedDesign(2, upsilon, zeta, True))
-        back = normalize(p, u_th, rho, 2)
-        assert back.upsilon == pytest.approx(upsilon, rel=1e-12)
-        assert back.zeta == pytest.approx(zeta, rel=1e-12, abs=1e-12)
+        u_th, rho = denormalize(p, upsilon, zeta)
+        back_upsilon, back_zeta = _normalize(p, u_th, rho)
+        assert back_upsilon == pytest.approx(upsilon, rel=1e-12)
+        assert back_zeta == pytest.approx(zeta, rel=1e-12, abs=1e-12)
 
     def test_round_trip_from_physical_side(self):
         rng = np.random.default_rng(31)
         p = make_params()
         for _ in range(1000):
-            n = int(rng.integers(2, 9))
             u_th = float(rng.uniform(1e-4, 10.0))
             rho = float(rng.uniform(1e-9, 1e-1))
-            u_back, rho_back = denormalize(p, normalize(p, u_th, rho, n))
+            u_back, rho_back = denormalize(p, *_normalize(p, u_th, rho))
             assert u_back == pytest.approx(u_th, rel=1e-12)
             assert rho_back == pytest.approx(rho, rel=1e-12)
 
@@ -243,7 +240,7 @@ class TestScaleInvariance:
                     xi=float(rng.uniform(0.5, 1.0)),
                     phi=float(rng.uniform(5.0, 100.0)),
                 )
-                u_th, rho = denormalize(p, NormalizedDesign(n, ups, zeta, True))
+                u_th, rho = denormalize(p, ups, zeta)
                 r_hat = LN2 * avg_rate_closed(p, n, u_th, rho) / p.w_tot
                 p_hat = (
                     p.d
