@@ -9,8 +9,8 @@ over a narrow beam that widens with the uncertainty until the next sweep.
 The package provides the sweep-schedule geometry, closed-form cycle
 average rate/power under water-filling, the dimensionless design space and
 its constrained rate maximization, a fixed-beamwidth comparison scheme,
-and independent verification by Monte Carlo simulation and numerical
-quadrature.
+and independent verification by exact reachable sets of the sweep,
+numerical quadrature and random power profiles.
 """
 
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power

@@ -25,7 +25,6 @@ from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_pow
 from .errors import FeasibilityError
 from .optimize import OptimalDesign, optimize_design
 from .params import SystemParams
-from .performance import norm_power_budget
 from .sweep import cycle_duration, validate_small_angle
 from .validation import run_all
 
@@ -53,10 +52,9 @@ _CONFIG_KEYS = set(DEFAULTS) | {
     "pt",
 }
 
-# Upper bounds on verify's case counts, 10 to 100 times their defaults, so
-# that every run ends in bounded time. The coverage suite also draws every
-# trajectory's start up front: an unbounded count could end in a MemoryError.
-VERIFY_CAPS = {"tuples": 10_000, "trajectories": 1_000_000, "profiles": 100_000}
+# Upper bounds on verify's case counts, 50 and 100 times their defaults, so
+# that every run ends in bounded time.
+VERIFY_CAPS = {"tuples": 10_000, "profiles": 100_000}
 
 _POWER_GRID = tuple(1e-4 * 10 ** (i / 4.0) for i in range(9))  # 1e-4 .. 1e-2 W
 _SPEED_GRID = tuple(float(v) for v in range(5, 41, 5))         # m/s
@@ -128,7 +126,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg["p_max"] = DEFAULTS["p_max"]
     elif args.command == "optimize" and cfg["p_max"] == 0.0:
         # optimize reports every effectively zero budget as the zero-rate
-        # design (see cmd_optimize). SystemParams holds positive budgets
+        # design (see optimize_design). SystemParams holds positive budgets
         # only, so zero becomes the smallest one, which that branch takes.
         cfg["p_max"] = math.ulp(0.0)
     phi = cfg.get("phi", 2.0 * cfg["vmax"])
@@ -210,17 +208,15 @@ def _design_record(config: RunConfig, design: OptimalDesign) -> dict:
 
 
 def cmd_optimize(config: RunConfig, as_json: bool) -> int:
-    params = config.params
-    if norm_power_budget(params) < 1e-9:
+    design = optimize_design(config.params)
+    if not design.per_beam_count:
         print(
             "warning: power budget is effectively zero; reporting the "
             "degenerate zero-rate design",
             file=sys.stderr,
         )
-        design = OptimalDesign(2, 4.0, 0.0, 4.0 * params.delta_s * params.phi, 0.0, 0.0, 0.0, ())
     else:
-        design = optimize_design(params)
-        for warning in validate_small_angle(params, design.u_th):
+        for warning in validate_small_angle(config.params, design.u_th):
             print(f"warning: {warning}", file=sys.stderr)
     return _emit(config, _design_record(config, design), as_json)
 
@@ -280,7 +276,6 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         seed=config.seed,
         perturb_closed_form=args.perturb_closed_form,
         n_tuples=args.tuples,
-        n_traj=args.trajectories,
         n_profiles=args.profiles,
     )
     _write_text(config.output_path, _csv([asdict(r) for r in results]))
@@ -340,10 +335,6 @@ def _make_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--tuples", type=int, default=200,
         help=f"quadrature comparisons (at most {VERIFY_CAPS['tuples']})",
-    )
-    verify.add_argument(
-        "--trajectories", type=int, default=100_000,
-        help=f"Monte Carlo trajectories per point (at most {VERIFY_CAPS['trajectories']})",
     )
     verify.add_argument(
         "--profiles", type=int, default=1000,

@@ -33,7 +33,7 @@ from .performance import (
     norm_power_budget,
     norm_rate,
 )
-from .sweep import trigger_width_branches
+from .sweep import min_upsilon, trigger_width_branches
 
 # Relative nudge away from the pole of tight_zeta at the lower bracket end.
 _BRACKET_EPS = 1e-9
@@ -43,6 +43,11 @@ _BRACKET_EPS = 1e-9
 _BOUND_SLACK = 1e-12
 
 _MAX_BEAMS_CAP = 10**6
+
+# Normalized budgets below this get the zero-rate design. The bisection
+# holds the power constraint to 1e-8 down to about 1e-14, and its sign
+# change is lost below about 1e-15.
+_ZERO_BUDGET = 1e-12
 
 
 def max_upsilon(n_beams: int, p_hat_max: float) -> float:
@@ -240,7 +245,7 @@ class OptimalDesign:
 
     ``per_beam_count`` lists the beam counts the scan bisected, in order;
     the counts after the last one up to ``max_beams`` were pruned by
-    ``_rate_bound``.
+    ``_rate_bound``. It is empty for the zero-rate design.
     """
 
     n_beams: int
@@ -261,8 +266,15 @@ def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:
     first count from 5 on that ``_rate_bound`` proves cannot win, or at
     ``max_beams``; then converts back to physical units. The power
     constraint is tight at the result.
+
+    An effectively zero budget gets the degenerate zero-rate design: two
+    beams at the smallest trigger width, no power and no rate.
     """
     p_hat_max = norm_power_budget(params)
+    if p_hat_max < _ZERO_BUDGET:
+        upsilon = min_upsilon(2)
+        u_th = upsilon * params.delta_s * params.phi
+        return OptimalDesign(2, upsilon, 0.0, u_th, 0.0, 0.0, 0.0, ())
     candidates = []
     best = None
     for n in range(2, max_beams(p_hat_max) + 1):

@@ -3,23 +3,19 @@
 Three families of checks, none of which share algebra with the closed
 forms they test:
 
-* trajectory Monte Carlo of the sweep protocol -- every user starting in
+* exact reachable sets of the sweep protocol -- every user starting in
   the trigger interval must be caught by some beam during that beam's own
-  microslot (full coverage), and the post-sweep position must fall in a
-  window of width ``u_comm`` regardless of which beam won;
+  microslot whatever its speed in ``[-phi/2, phi/2]`` (full coverage), and
+  the post-sweep position must fall in a window of width ``u_comm``
+  regardless of which beam won. The positions a user can hold are tracked
+  as unions of intervals at the sampled instants of each microslot, so
+  every speed sequence at that time resolution is checked at once;
 * adaptive midpoint quadrature of the defining rate/power integrals,
   refined until self-consistent, against the closed forms;
 * random power profiles with matched average power, which can never beat
   the water-filling profile's average rate.
 
-Per-trajectory randomness comes from one stream per design point, drawn
-in trajectory order, so results depend only on the master seed. The
-trajectories stream through the sweep one time step at a time, in blocks
-of ``_BLOCK`` rows: a block draws its own speed levels and keeps its
-running position sums, speed increments and per-beam hit flags, never a
-sampled path, so memory is O(block) whatever the number of steps. The
-running sums add left to right, as ``np.cumsum`` does, so every sampled
-position is the one a materialized path would hold.
+The randomized checks draw from streams seeded by the master seed only.
 """
 
 from __future__ import annotations
@@ -48,20 +44,14 @@ from .sweep import (
     trigger_width_branches,
 )
 
-SPEED_KINDS = ("constant-extreme", "piecewise-constant-uniform", "bang-bang")
-
-# Integration steps per microslot; speeds are constant within a step, so
-# explicit Euler is exact at this resolution. The switching speed
-# processes also dwell one microslot, this many steps, per speed segment.
+# Sampled instants per microslot. A user's speed is constant between
+# instants, anywhere in [-phi/2, phi/2], so between two instants it moves
+# by at most phi/2 * delta_s / RESOLUTION either way.
 RESOLUTION = 100
 
-# Interval-membership slack relative to u_th, covering accumulated rounding
-# in the position sums ("integration resolution" in the checks below).
+# Scan-interval membership slack relative to u_th, covering the rounding of
+# the interval ends.
 _MEMBERSHIP_SLACK = 1e-9
-
-# Trajectories per block of the coverage kernel. A block's per-row state
-# stays in cache: 1.35 us per trajectory at this size, 1.59 us at 100k rows.
-_BLOCK = 32_768
 
 # Random power profiles per batch of the Jensen check; two buffers of this
 # many profiles (0.8 MB each at the default grid) serve every batch. Freeing
@@ -70,107 +60,61 @@ _BLOCK = 32_768
 # higher.
 _JENSEN_BATCH = 10
 
-_PIECEWISE = SPEED_KINDS.index("piecewise-constant-uniform")
-_BANG_BANG = SPEED_KINDS.index("bang-bang")
+
+def _dilate(intervals: list[tuple[float, float]], r: float) -> list[tuple[float, float]]:
+    """Sorted disjoint intervals grown by ``r`` at both ends, overlaps merged."""
+    out: list[tuple[float, float]] = []
+    for lo, hi in intervals:
+        if out and lo - r <= out[-1][1]:
+            out[-1] = (out[-1][0], hi + r)
+        else:
+            out.append((lo - r, hi + r))
+    return out
 
 
-def _sweep(
-    params: SystemParams,
-    schedule: SweepSchedule,
-    kinds: np.ndarray,
-    p0: np.ndarray,
-    sign: np.ndarray,
-    offset: np.ndarray,
-    levels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step a block of trajectories through the sweep phase.
+def _reachable(
+    params: SystemParams, schedule: SweepSchedule
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """Where the sweep can leave a user, over every speed sequence at once.
 
-    Row ``r`` starts at ``p0[r]`` and moves with speed process
-    ``SPEED_KINDS[kinds[r]]``. Step ``j`` lies in speed segment
-    ``(j + offset) // RESOLUTION``. Its speed there is ``sign * phi/2``
-    (constant-extreme), the same negated in odd segments (bang-bang), or
-    the segment's uniform level in ``levels`` (piecewise). A beam detects
-    a row if the position lies in its scan interval at any sampled time of
-    its own microslot (slot boundaries belong to both adjacent slots); the
-    first such beam wins.
+    The positions of users not yet detected are kept as sorted disjoint
+    intervals, from ``[0, u_th]`` at the start. At each sampled instant of
+    beam ``k``'s microslot the set first grows by one step of drift (not at
+    the slot's first instant: slot boundaries belong to both adjacent
+    slots), then loses its part inside scan interval ``k``: those users are
+    detected by beam ``k``. That part's hull, widened by the drift still to
+    come, bounds where they end the sweep.
 
-    Returns the 1-based detected beam (0 if none) and the final position
-    of each row.
+    Returns the undetected set at the end of the sweep, and each beam's
+    ``(lo, hi)`` hull of final positions (``(inf, -inf)`` if it detects no
+    one).
     """
-    dt = params.delta_s / RESOLUTION
-    n_rows = p0.size
-    # Sorted by kind and then offset, the rows whose speed segment changes
-    # at step j (offset == -j mod RESOLUTION) are one slice per kind.
-    key = kinds * RESOLUTION + offset
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(
-        key[order], np.arange(len(SPEED_KINDS) * RESOLUTION + 1)
-    ).tolist()
-
-    def phase_slices(kind: int) -> list[slice]:
-        first = kind * RESOLUTION
-        return [slice(bounds[first + k], bounds[first + k + 1]) for k in range(RESOLUTION)]
-
-    flips = phase_slices(_BANG_BANG)
-    loads = phase_slices(_PIECEWISE)
-    piecewise = slice(loads[0].start, loads[-1].stop)
-    # Per-step increments speed * dt, rounded as materialized speeds were.
-    inc = sign[order] * (0.5 * params.phi) * dt
-    levels = levels[order[piecewise]]
-    inc[piecewise] = levels[:, 0] * dt
-
-    p0 = p0[order]
-    total = np.zeros(n_rows)
-    pos = p0.copy()
-    inside = np.empty(n_rows, dtype=bool)
-    hit = np.empty(n_rows, dtype=bool)
-    below = np.empty(n_rows, dtype=bool)
-    detected = np.zeros(n_rows, dtype=np.int64)
+    r = 0.5 * params.phi * params.delta_s / RESOLUTION
     slack = _MEMBERSHIP_SLACK * schedule.u_th
-    j = 0
-    for beam, (a, b) in enumerate(schedule.intervals, start=1):
-        lo = a - slack
-        hi = b + slack
-        np.greater_equal(pos, lo, out=inside)
-        inside &= np.less_equal(pos, hi, out=below)
-        for _ in range(RESOLUTION):
+    n_steps = schedule.n_beams * RESOLUTION
+    undetected = [(0.0, schedule.u_th)]
+    hulls = []
+    for k, (a, b) in enumerate(schedule.intervals):
+        lo_win, hi_win = a - slack, b + slack
+        lo_hull, hi_hull = math.inf, -math.inf
+        for j in range(RESOLUTION + 1):
             if j:
-                phase = -j % RESOLUTION
-                flip = flips[phase]
-                np.negative(inc[flip], out=inc[flip])
-                load = loads[phase]
-                segment = (j + phase) // RESOLUTION
-                rows = slice(load.start - piecewise.start, load.stop - piecewise.start)
-                np.multiply(levels[rows, segment], dt, out=inc[load])
-            j += 1
-            total += inc
-            np.add(total, p0, out=pos)
-            np.greater_equal(pos, lo, out=hit)
-            hit &= np.less_equal(pos, hi, out=below)
-            inside |= hit
-        np.copyto(detected, beam, where=inside & (detected == 0))
-
-    detected[order] = detected.copy()
-    pos[order] = pos.copy()
-    return detected, pos
-
-
-def _final_ok(
-    schedule: SweepSchedule, detected: np.ndarray, final: np.ndarray, delta_s_phi: float
-) -> np.ndarray:
-    """Whether each detected trajectory ends inside its beam's u_comm window."""
-    n = schedule.n_beams
-    slack = _MEMBERSHIP_SLACK * schedule.u_th
-    a_arr = np.array([iv[0] for iv in schedule.intervals])
-    b_arr = np.array([iv[1] for iv in schedule.intervals])
-    idx = np.maximum(detected - 1, 0)
-    # Motion after detection can spread the position by (n+1-i) microslots
-    # of drift around the winning beam's scan interval; that window has
-    # width u_comm for every beam.
-    grow = (n + 1 - detected.astype(float)) * 0.5 * delta_s_phi
-    lo = a_arr[idx] - grow
-    hi = b_arr[idx] + grow
-    return (detected > 0) & (final >= lo - slack) & (final <= hi + slack)
+                undetected = _dilate(undetected, r)
+            drift = (n_steps - k * RESOLUTION - j) * r
+            kept = []
+            for lo, hi in undetected:
+                if hi < lo_win or lo > hi_win:
+                    kept.append((lo, hi))
+                    continue
+                lo_hull = min(lo_hull, max(lo, lo_win) - drift)
+                hi_hull = max(hi_hull, min(hi, hi_win) + drift)
+                if lo < lo_win:
+                    kept.append((lo, lo_win))
+                if hi > hi_win:
+                    kept.append((hi_win, hi))
+            undetected = kept
+        hulls.append((lo_hull, hi_hull))
+    return undetected, hulls
 
 
 # ---------------------------------------------------------------------------
@@ -384,74 +328,41 @@ def quadrature_suite(
     return results
 
 
-def _coverage_point(
-    params: SystemParams, schedule: SweepSchedule, n_traj: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detected beam and final position of each trajectory at one design point.
-
-    Every trajectory's start, speed sign and switch offset are drawn first;
-    the trajectories then go through ``_sweep`` ``_BLOCK`` rows at a time,
-    each block drawing its speed levels just before it runs. The levels
-    fill row by row, so the stream is that of one (n_traj, segments) draw.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, schedule.n_beams)))
-    p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
-    sign = rng.integers(0, 2, size=n_traj) * 2 - 1
-    offset = rng.integers(0, RESOLUTION, size=n_traj)
-    # Step j < n_beams * RESOLUTION lies in segment (j + offset) // RESOLUTION.
-    n_segments = schedule.n_beams + 1
-    half = 0.5 * params.phi
-    kinds = np.arange(n_traj) % len(SPEED_KINDS)
-    detected = np.empty(n_traj, dtype=np.int64)
-    final = np.empty(n_traj)
-    for start in range(0, n_traj, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n_traj))
-        levels = rng.uniform(-half, half, size=(rows.stop - start, n_segments))
-        detected[rows], final[rows] = _sweep(
-            params, schedule, kinds[rows], p0[rows], sign[rows], offset[rows], levels
-        )
-    return detected, final
-
-
 def coverage_suite(
     params: SystemParams,
     points: Sequence[tuple[int, float]] | None = None,
-    n_traj: int = 100_000,
-    seed: int = 0,
 ) -> list[CheckResult]:
-    """Monte Carlo coverage and post-sweep width checks.
+    """Exact coverage and post-sweep width checks by reachable sets.
 
     ``points`` are (n_beams, upsilon) design points; the default set
     includes a minimum-width schedule whose first beam degenerates to zero
-    width. Trajectories are split round-robin over the speed process kinds,
-    with dwell equal to one microslot.
+    width. ``sweep_coverage`` has one case per point, which fails if any
+    user can escape every beam; its residual is the length of the escaped
+    set over ``u_th``. ``post_sweep_width`` has one case per beam, which
+    fails if the users that beam detects can end the sweep spread over
+    more than ``u_comm`` plus the slack of both window ends.
     """
     if points is None:
         points = ((2, 8.0), (3, 60.0), (5, 6.0))
     step = params.delta_s * params.phi
-    cover_fail = 0
-    width_fail = 0
-    worst_spread = 0.0
-    n_cases = 0
+    cover_fail = width_fail = n_beams_total = 0
+    worst_escaped = worst_spread = 0.0
     for n_beams, ups in points:
         schedule = build_schedule(params, ups * step, n_beams)
-        detected, final = _coverage_point(params, schedule, n_traj, seed)
-        covered = detected > 0
-        cover_fail += int(np.sum(~covered))
-        width_fail += int(np.sum(covered & ~_final_ok(schedule, detected, final, step)))
-        hits = [final[detected == b] for b in range(1, n_beams + 1)]
-        final_lo = np.array([hit.min(initial=np.inf) for hit in hits])
-        final_hi = np.array([hit.max(initial=-np.inf) for hit in hits])
-        n_cases += n_traj
-        spreads = final_hi - final_lo
-        seen = np.isfinite(spreads)
-        if seen.any():
-            excess = float(np.max(spreads[seen] - schedule.u_comm)) / schedule.u_comm
+        escaped, hulls = _reachable(params, schedule)
+        cover_fail += bool(escaped)
+        escaped_length = sum(hi - lo for lo, hi in escaped) / schedule.u_th
+        worst_escaped = max(worst_escaped, escaped_length)
+        slack = _MEMBERSHIP_SLACK * schedule.u_th
+        for lo, hi in hulls:
+            excess = (hi - lo - schedule.u_comm - 2.0 * slack) / schedule.u_comm
+            # Written so that NaN counts as a failure.
+            width_fail += not excess <= 1e-9
             worst_spread = max(worst_spread, excess)
-            width_fail += int(np.sum(spreads[seen] > schedule.u_comm * (1.0 + 1e-9)))
+        n_beams_total += n_beams
     return [
-        CheckResult("sweep_coverage", n_cases, cover_fail, float(cover_fail)),
-        CheckResult("post_sweep_width", n_cases, width_fail, worst_spread),
+        CheckResult("sweep_coverage", len(points), cover_fail, worst_escaped),
+        CheckResult("post_sweep_width", n_beams_total, width_fail, worst_spread),
     ]
 
 
@@ -503,7 +414,6 @@ def run_all(
     seed: int = 0,
     perturb_closed_form: float = 0.0,
     n_tuples: int = 200,
-    n_traj: int = 100_000,
     n_profiles: int = 1000,
 ) -> list[CheckResult]:
     """Every verification suite with shared defaults; rows for the report CSV."""
@@ -523,6 +433,6 @@ def run_all(
             seed=seed,
         )
     )
-    results.extend(coverage_suite(params, n_traj=n_traj, seed=seed))
+    results.extend(coverage_suite(params))
     results.extend(slope_sign_suite(seed=seed))
     return results

@@ -1,8 +1,17 @@
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import pytest
 
-from beamcycle import SystemParams, build_schedule
+from beamcycle import (
+    SystemParams,
+    build_schedule,
+    coverage_suite,
+    rate_slope,
+    slope_sign_suite,
+    tight_zeta,
+    validation,
+)
 
 
 def make_params(**overrides) -> SystemParams:
@@ -43,9 +52,38 @@ def _narrow_window(params, u_th, n_beams):
     return replace(schedule, u_comm=0.9 * schedule.u_comm)
 
 
-# Faulty stand-ins for validation.build_schedule: (mutant, the coverage check
-# that must catch it, its failures in coverage_suite at n_traj=3000, seed=1).
-COVERAGE_MUTANTS = {
-    "no-backoff": (_no_backoff, "sweep_coverage", 56),
-    "narrow-window": (_narrow_window, "post_sweep_width", 5),
+def _rate_slope_flipped(upsilon, n_beams, p_hat_max):
+    """rate_slope with its ``(n-1) * w * zeta / (n (1 + zeta))`` term added, not subtracted."""
+    n = n_beams
+    zeta = tight_zeta(upsilon, n, p_hat_max)
+    w = upsilon + n / 2.0 - 1.0
+    return rate_slope(upsilon, n, p_hat_max) + 2.0 * (n - 1.0) * w * zeta / (n * (1.0 + zeta))
+
+
+class Mutant(NamedTuple):
+    """A faulty stand-in for one name that beamcycle.validation looks up."""
+
+    target: str                      # the name in beamcycle.validation it replaces
+    stand_in: Callable
+    suite: Callable                  # params -> the suite's CheckResults
+    check: str                       # the one check that must catch it
+    failures: int                    # its failures at the suite's defaults
+
+
+SUITE_MUTANTS = {
+    "no-backoff": Mutant("build_schedule", _no_backoff, coverage_suite, "sweep_coverage", 1),
+    "narrow-window": Mutant(
+        "build_schedule", _narrow_window, coverage_suite, "post_sweep_width", 7
+    ),
+    "rate-slope": Mutant(
+        "rate_slope", _rate_slope_flipped, lambda params: slope_sign_suite(), "slope_sign", 807
+    ),
 }
+
+
+def run_mutant(params, monkeypatch, name):
+    """Results by check name of mutant ``name``'s suite, run with the mutant in place."""
+    mutant = SUITE_MUTANTS[name]
+    with monkeypatch.context() as patch:
+        patch.setattr(validation, mutant.target, mutant.stand_in)
+        return {r.check_name: r for r in mutant.suite(params)}

@@ -30,11 +30,10 @@ from beamcycle import (
     slope_root,
     snr_gamma,
     tight_zeta,
-    validation,
 )
 from beamcycle.performance import LN2
 
-from conftest import COVERAGE_MUTANTS, make_params
+from conftest import SUITE_MUTANTS, make_params, run_mutant
 
 
 def test_criterion_1_closed_form_fidelity(params):
@@ -184,18 +183,20 @@ def test_criterion_4_optimizer_dominance(params):
 
 def test_criterion_5_sweep_protocol(params):
     start = time.monotonic()
-    results = coverage_suite(params, n_traj=100_000, seed=505)
+    results = coverage_suite(params)
     elapsed = time.monotonic() - start
     by_name = {r.check_name: r for r in results}
     coverage = by_name["sweep_coverage"]
     width = by_name["post_sweep_width"]
-    assert coverage.n_cases >= 3 * 100_000
+    # Every speed sequence at once: 3 design points, 2 + 3 + 5 beams.
+    assert (coverage.n_cases, width.n_cases) == (3, 10)
     assert coverage.n_failures == 0
     assert width.n_failures == 0
     assert width.worst_residual <= 1e-9
     print(
-        f"ACCEPTANCE 5 sweep protocol: PASS ({coverage.n_cases} trajectories, "
-        f"full coverage, width residual {width.worst_residual:.3g}, {elapsed:.2f}s)"
+        f"ACCEPTANCE 5 sweep protocol: PASS ({coverage.n_cases} design points, "
+        f"{width.n_cases} beams, full coverage, width residual "
+        f"{width.worst_residual:.3g}, {elapsed:.3f}s)"
     )
 
 
@@ -274,16 +275,17 @@ def test_criterion_8_fault_injection(params, monkeypatch):
     assert all(r.n_failures > 0 for r in faulty)
     from beamcycle.cli import main
 
-    assert main(["verify", "--tuples", "5", "--trajectories", "1000",
-                 "--profiles", "5", "--perturb-closed-form", "1e-3",
-                 "--out", "/dev/null"]) == 1
+    assert main(["verify", "--tuples", "5", "--profiles", "5",
+                 "--perturb-closed-form", "1e-3", "--out", "/dev/null"]) == 1
     caught = []
-    for name, (build, check, failures) in sorted(COVERAGE_MUTANTS.items()):
-        monkeypatch.setattr(validation, "build_schedule", build)
-        results = {r.check_name: r for r in coverage_suite(params, n_traj=3000, seed=1)}
-        assert results[check].n_failures == failures, name
-        caught.append(f"{name} by {check} {failures}/{results[check].n_cases}")
+    for name, mutant in sorted(SUITE_MUTANTS.items()):
+        results = run_mutant(params, monkeypatch, name)
+        # Each mutant is caught by its own check, and by no other.
+        assert results[mutant.check].n_failures == mutant.failures, name
+        assert [c for c, r in results.items() if not r.passed] == [mutant.check], name
+        n_cases = results[mutant.check].n_cases
+        caught.append(f"{name} by {mutant.check} {mutant.failures}/{n_cases}")
     print(
         "ACCEPTANCE 8 fault injection: PASS (perturbed closed forms detected; "
-        f"coverage mutants: {', '.join(caught)})"
+        f"mutants: {', '.join(caught)})"
     )

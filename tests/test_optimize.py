@@ -21,7 +21,13 @@ from beamcycle import (
     rate_slope,
     tight_zeta,
 )
-from beamcycle.optimize import _MAX_BEAMS_CAP, _rate_bound, beam_count_threshold
+from beamcycle.optimize import (
+    _MAX_BEAMS_CAP,
+    _ZERO_BUDGET,
+    OptimalDesign,
+    _rate_bound,
+    beam_count_threshold,
+)
 from beamcycle.sweep import trigger_width_branches
 
 from conftest import make_params
@@ -250,6 +256,20 @@ class TestOptimizeDesign:
         for p_max in np.logspace(-17, -14, 100):
             design = optimize_design(make_params(p_max=float(p_max)))
             assert design.avg_power == pytest.approx(p_max, rel=1e-8)
+
+    def test_zero_budget_design(self):
+        # Normalized budgets from 1e-300 to just below the threshold, where
+        # the bisection finds no sign change (below about 1e-15), or none
+        # that holds the power constraint to 1e-8 (about 1e-15 .. 1e-14).
+        unit = norm_power_budget(make_params(p_max=1.0))
+        for p_hat in (1e-300, 1e-17, 1e-15, 0.999 * _ZERO_BUDGET):
+            params = make_params(p_max=p_hat / unit)
+            step = params.delta_s * params.phi
+            assert optimize_design(params) == OptimalDesign(
+                2, 4.0, 0.0, 4.0 * step, 0.0, 0.0, 0.0, ()
+            )
+        design = optimize_design(make_params(p_max=1.001 * _ZERO_BUDGET / unit))
+        assert design.per_beam_count and design.avg_rate > 0.0
 
     def test_deterministic(self, params):
         a = optimize_design(params)

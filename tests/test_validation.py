@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamcycle import (
     CheckResult,
@@ -14,24 +16,33 @@ from beamcycle import (
     comm_width,
     coverage_suite,
     jensen_check,
+    min_upsilon,
     quadrature_suite,
     slope_sign_suite,
     snr_gamma,
     validation,
 )
 
-from conftest import COVERAGE_MUTANTS, make_params
+from conftest import SUITE_MUTANTS, make_params, run_mutant
 
 DEFAULT_POINTS = ((2, 8.0), (3, 60.0), (5, 6.0))  # coverage_suite's design points
-R = validation.RESOLUTION  # integration steps per microslot, and steps per speed segment
+R = validation.RESOLUTION  # sampled instants per microslot, and steps per speed segment
+COVERAGE_MUTANTS = sorted(
+    name for name, mutant in SUITE_MUTANTS.items() if mutant.suite is coverage_suite
+)
+
+# Speed processes of the reference Monte Carlo; the switching ones dwell one
+# microslot, R steps, per speed segment.
+SPEED_KINDS = ("constant-extreme", "piecewise-constant-uniform", "bang-bang")
 
 
 def _rho_for_level(params, level):
     return level / (params.d * snr_gamma(params))
 
 
-# Reference: every sampled path materialized and summed with np.cumsum. The
-# streamed kernel must reproduce its outcomes bit for bit.
+# Reference: sampled trajectories of three speed processes, every path
+# materialized and summed with np.cumsum. The exact reachable sets of
+# coverage_suite must contain every outcome it samples.
 
 
 def _speed_draws(rng, n_traj, n_steps, phi):
@@ -63,31 +74,25 @@ def _positions(p0, speeds, dt):
     return out
 
 
-def _detect(schedule, positions, delta_s_phi):
-    """(covered, detected 1-based, final_ok) of materialized paths."""
-    n = schedule.n_beams
+def _detect(schedule, positions):
+    """1-based beam that detects each materialized path first, 0 for none.
+
+    A beam detects a path at any sampled instant of its own microslot, the
+    slot's both ends included.
+    """
     slack = validation._MEMBERSHIP_SLACK * schedule.u_th
     detected = np.zeros(positions.shape[0], dtype=np.int64)
     for i, (a, b) in enumerate(schedule.intervals):
         window = positions[:, i * R : (i + 1) * R + 1]
         inside = np.any((window >= a - slack) & (window <= b + slack), axis=1)
         np.copyto(detected, i + 1, where=inside & (detected == 0))
-    covered = detected > 0
-    final = positions[:, n * R]
-    a_arr = np.array([iv[0] for iv in schedule.intervals])
-    b_arr = np.array([iv[1] for iv in schedule.intervals])
-    idx = np.maximum(detected - 1, 0)
-    grow = (n + 1 - detected.astype(float)) * 0.5 * delta_s_phi
-    lo = a_arr[idx] - grow
-    hi = b_arr[idx] + grow
-    final_ok = covered & (final >= lo - slack) & (final <= hi + slack)
-    return covered, detected, final_ok
+    return detected
 
 
 def _reference_positions(params, kinds, p0, draws, n_steps):
     """Sampled positions of each row, the rows of kind k built by _speeds_from_draws."""
     speeds = np.empty((len(p0), n_steps))
-    for k, kind in enumerate(validation.SPEED_KINDS):
+    for k, kind in enumerate(SPEED_KINDS):
         sel = np.flatnonzero(kinds == k)
         if sel.size:
             speeds[sel] = _speeds_from_draws(
@@ -97,96 +102,138 @@ def _reference_positions(params, kinds, p0, draws, n_steps):
 
 
 def _reference_point(params, schedule, n_traj, seed):
-    """(covered, detected, final_ok, final position) per trajectory, in chunks."""
+    """(detected beam, final position) per trajectory, kinds round-robin, in chunks."""
     n_steps = schedule.n_beams * R
     rng = np.random.default_rng(np.random.SeedSequence((seed, schedule.n_beams)))
     p0 = rng.uniform(0.0, schedule.u_th, size=n_traj)
     draws = _speed_draws(rng, n_traj, n_steps, params.phi)
-    kinds = np.arange(n_traj) % len(validation.SPEED_KINDS)
+    kinds = np.arange(n_traj) % len(SPEED_KINDS)
     outcomes = []
     for start in range(0, n_traj, 4096):
         rows = slice(start, start + 4096)
         positions = _reference_positions(
             params, kinds[rows], p0[rows], [d[rows] for d in draws], n_steps
         )
-        step = params.delta_s * params.phi
-        outcomes.append((*_detect(schedule, positions, step), positions[:, -1]))
+        outcomes.append((_detect(schedule, positions), positions[:, -1]))
     return tuple(np.concatenate(parts) for parts in zip(*outcomes))
 
 
-def _streamed_point(params, schedule, n_traj, seed):
-    detected, final = validation._coverage_point(params, schedule, n_traj, seed)
-    step = params.delta_s * params.phi
-    return detected > 0, detected, validation._final_ok(schedule, detected, final, step), final
+def _assert_inside_exact_sets(params, schedule, detected, final):
+    """Each detected path ends in its beam's exact hull, each miss in the escaped set.
 
-
-def _assert_same_outcomes(streamed, reference):
-    for name, got, want in zip(("covered", "detected", "final_ok", "final"), streamed, reference):
-        assert np.array_equal(got, want), name
+    Returns the number of misses.
+    """
+    escaped, hulls = validation._reachable(params, schedule)
+    tol = 1e-12 * schedule.u_th  # cumsum and the interval ends round differently
+    for beam, (lo, hi) in enumerate(hulls, start=1):
+        ends = final[detected == beam]
+        assert np.all((ends >= lo - tol) & (ends <= hi + tol)), beam
+    misses = final[detected == 0]
+    inside = np.zeros(misses.size, dtype=bool)
+    for lo, hi in escaped:
+        inside |= (misses >= lo - tol) & (misses <= hi + tol)
+    assert inside.all()
+    return misses.size
 
 
 def _one_row(params, schedule, kind, p0, seed):
-    """(detected beam, final position, final_ok) of one trajectory through _sweep."""
+    """(detected beam, final position) of one reference trajectory of one kind."""
+    n_steps = schedule.n_beams * R
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = _speed_draws(rng, 1, schedule.n_beams * R, params.phi)
-    kinds = np.array([validation.SPEED_KINDS.index(kind)])
-    detected, final = validation._sweep(params, schedule, kinds, np.array([p0]), *draws)
-    final_ok = validation._final_ok(schedule, detected, final, params.delta_s * params.phi)
-    return int(detected[0]), float(final[0]), bool(final_ok[0])
+    draws = _speed_draws(rng, 1, n_steps, params.phi)
+    speeds = _speeds_from_draws(kind, *draws, n_steps, params.phi)
+    positions = _positions(np.array([p0]), speeds, params.delta_s / R)
+    return int(_detect(schedule, positions)[0]), float(positions[0, -1])
 
 
 class TestCoverageKernel:
-    """The streamed kernel against materialized paths, trajectory by trajectory."""
+    """Sampled reference trajectories against the exact reachable sets."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("n_beams, upsilon", DEFAULT_POINTS)
     def test_default_points(self, params, n_beams, upsilon, seed):
         schedule = build_schedule(params, upsilon * params.delta_s * params.phi, n_beams)
-        _assert_same_outcomes(
-            _streamed_point(params, schedule, 20_000, seed),
-            _reference_point(params, schedule, 20_000, seed),
-        )
+        detected, final = _reference_point(params, schedule, 20_000, seed)
+        assert _assert_inside_exact_sets(params, schedule, detected, final) == 0
 
-    # One kind only, no bang-bang, a few of each, and one row past a block.
-    @pytest.mark.parametrize("n_traj", [1, 2, 5, validation._BLOCK + 1])
+    @pytest.mark.parametrize("mutant", COVERAGE_MUTANTS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n_beams, upsilon", DEFAULT_POINTS)
+    def test_default_points_under_mutant(self, params, n_beams, upsilon, seed, mutant):
+        build = SUITE_MUTANTS[mutant].stand_in
+        schedule = build(params, upsilon * params.delta_s * params.phi, n_beams)
+        detected, final = _reference_point(params, schedule, 20_000, seed)
+        misses = _assert_inside_exact_sets(params, schedule, detected, final)
+        # Only the unshifted scan intervals at the minimum-width point let
+        # users through, and the sample finds some of them.
+        assert (misses > 0) == (mutant == "no-backoff" and n_beams == 5)
+
+    # One kind only, no bang-bang, and a few of each.
+    @pytest.mark.parametrize("n_traj", [1, 2, 5])
     @pytest.mark.parametrize("n_beams, upsilon", DEFAULT_POINTS)
     def test_edge_sizes(self, params, n_beams, upsilon, n_traj):
         schedule = build_schedule(params, upsilon * params.delta_s * params.phi, n_beams)
-        _assert_same_outcomes(
-            _streamed_point(params, schedule, n_traj, 3),
-            _reference_point(params, schedule, n_traj, 3),
-        )
+        detected, final = _reference_point(params, schedule, n_traj, 3)
+        assert _assert_inside_exact_sets(params, schedule, detected, final) == 0
 
     def test_static_user_detected_by_first_beam(self, params):
         schedule = build_schedule(params, 80 * params.delta_s * params.phi, 2)
         p0 = 0.5 * (schedule.intervals[0][0] + schedule.intervals[0][1])
+        lo, hi = validation._reachable(params, schedule)[1][0]
         # Beam 1 scans its interval from the first sample on, and within one
         # microslot no speed process carries the user out of it here.
-        for kind in validation.SPEED_KINDS:
-            detected, _, final_ok = _one_row(params, schedule, kind, p0, seed=1)
+        for kind in SPEED_KINDS:
+            detected, final = _one_row(params, schedule, kind, p0, seed=1)
             assert detected == 1, kind
-            assert final_ok, kind
+            assert lo <= final <= hi, kind
 
     def test_identical_seeds_bit_identical(self, params):
         schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
-        for kind in validation.SPEED_KINDS:
+        for kind in SPEED_KINDS:
             runs = [_one_row(params, schedule, kind, 0.001, seed=1234) for _ in range(2)]
             assert runs[0] == runs[1], kind
-        points = [validation._coverage_point(params, schedule, 30, seed=1234) for _ in range(2)]
-        for got, want in zip(*points):
-            assert np.array_equal(got, want)
 
     def test_speed_bound_respected(self, params):
         # Each of the n_beams * R steps moves a user by at most phi/2 * dt,
         # and a constant-extreme user moves by exactly that.
         schedule = build_schedule(params, 50 * params.delta_s * params.phi, 2)
         bound = 0.5 * params.phi * schedule.n_beams * params.delta_s
-        for kind in validation.SPEED_KINDS:
-            _, final, _ = _one_row(params, schedule, kind, 0.001, seed=5)
+        for kind in SPEED_KINDS:
+            _, final = _one_row(params, schedule, kind, 0.001, seed=5)
             moved = abs(final - 0.001)
             assert moved <= bound * (1 + 1e-12), kind
             if kind == "constant-extreme":
                 assert moved == pytest.approx(bound, rel=1e-12)
+
+
+class TestReachableSets:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_beams=st.integers(2, 16),
+        upsilon_frac=st.floats(0.0, 1.0),
+        phi=st.sampled_from([2.0, 40.0, 120.0]),
+    )
+    def test_every_design_covers_within_u_comm(self, n_beams, upsilon_frac, phi):
+        params = make_params(phi=phi)
+        lowest = min_upsilon(n_beams)
+        upsilon = lowest + upsilon_frac * (2000.0 - lowest)
+        results = coverage_suite(params, points=[(n_beams, upsilon)])
+        assert [(r.n_cases, r.n_failures) for r in results] == [(1, 0), (n_beams, 0)]
+        # Beam 1 detects every user in [0, b_1] at the first instant, and no
+        # user starts below 0, so its hull is u_comm plus one slack, not two.
+        schedule = build_schedule(params, upsilon * (params.delta_s * params.phi), n_beams)
+        lo, hi = validation._reachable(params, schedule)[1][0]
+        slack = validation._MEMBERSHIP_SLACK * schedule.u_th
+        assert hi - lo == pytest.approx(schedule.u_comm + slack, rel=1e-12)
+
+    def test_no_backoff_escaped_set(self, params):
+        # Without the back-off, users in [-2.5, 1.5] * delta_s*phi at the
+        # end of the sweep were never inside the beam of their microslot.
+        step = params.delta_s * params.phi
+        schedule = SUITE_MUTANTS["no-backoff"].stand_in(params, 6.0 * step, 5)
+        escaped, _ = validation._reachable(params, schedule)
+        assert len(escaped) == 1
+        assert escaped[0] == pytest.approx((-2.5 * step, 1.5 * step), rel=1e-6)
 
 
 class TestQuadrature:
@@ -258,6 +305,14 @@ class TestJensen:
         assert math.isnan(result.worst_residual)
 
 
+def _assert_caught_alone(params, monkeypatch, mutant):
+    """The mutant's own check fails as often as the table says; its suite's others pass."""
+    results = run_mutant(params, monkeypatch, mutant)
+    check, failures = SUITE_MUTANTS[mutant].check, SUITE_MUTANTS[mutant].failures
+    assert results[check].n_failures == failures
+    assert [name for name, r in results.items() if not r.passed] == [check]
+
+
 class TestSuites:
     def test_quadrature_suite_passes(self, params):
         for result in quadrature_suite(params, n_tuples=40, seed=2):
@@ -281,17 +336,21 @@ class TestSuites:
             assert not result.passed
 
     def test_coverage_suite_small(self, params):
-        for result in coverage_suite(params, n_traj=2000, seed=4):
-            assert result.passed
+        results = coverage_suite(params, points=[(2, 8.0), (4, 300.0)])
+        assert results == [
+            CheckResult("sweep_coverage", 2, 0, 0.0),
+            CheckResult("post_sweep_width", 6, 0, 0.0),
+        ]
 
-    @pytest.mark.parametrize("mutant", sorted(COVERAGE_MUTANTS))
+    @pytest.mark.parametrize("mutant", COVERAGE_MUTANTS)
     def test_coverage_suite_catches_mutant(self, params, monkeypatch, mutant):
-        build, check, failures = COVERAGE_MUTANTS[mutant]
-        monkeypatch.setattr(validation, "build_schedule", build)
-        results = {r.check_name: r for r in coverage_suite(params, n_traj=3000, seed=1)}
-        assert results[check].n_failures == failures
-        # Each mutant is caught by its own check; the other one still passes.
-        assert [name for name, r in results.items() if not r.passed] == [check]
+        _assert_caught_alone(params, monkeypatch, mutant)
+
+    @pytest.mark.parametrize(
+        "mutant", sorted(set(SUITE_MUTANTS) - set(COVERAGE_MUTANTS))
+    )
+    def test_other_suites_catch_mutant(self, params, monkeypatch, mutant):
+        _assert_caught_alone(params, monkeypatch, mutant)
 
     def test_slope_sign_suite_passes(self):
         for result in slope_sign_suite(budgets=(0.5, 5.0), n_points=10, seed=6):
@@ -318,9 +377,9 @@ def _traced_peak(fn):
 class TestMemory:
     """Allocation peaks of the suites at verify's defaults.
 
-    jensen_check reuses two small batch buffers, and coverage_suite draws
-    its speed levels one block at a time, so neither holds an array sized
-    by the whole run.
+    jensen_check reuses two small batch buffers, and coverage_suite holds a
+    few intervals per design point, so neither holds an array sized by the
+    whole run.
     """
 
     def test_jensen_check_peak(self, params):
@@ -329,4 +388,4 @@ class TestMemory:
         assert _traced_peak(lambda: jensen_check(params, 2, u_th, rho)) < 4 * 2**20
 
     def test_coverage_suite_peak(self, params):
-        assert _traced_peak(lambda: coverage_suite(params)) < 12.5 * 2**20
+        assert _traced_peak(lambda: coverage_suite(params)) < 2**20
