@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .params import SystemParams, snr_gamma
+from .performance import LN2
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def rate_and_power(params: SystemParams, cfg: BaselineConfig) -> tuple[float, fl
     """Average rate (bit/s) and average power of the fixed-beam scheme."""
     f_comm = comm_fraction(params, cfg)
     omega = math.radians(cfg.beamwidth_deg)
-    rate = params.w_tot * math.log2(1.0 + snr_gamma(params) * cfg.p_t / omega) * f_comm
+    rate = params.w_tot * math.log1p(snr_gamma(params) * cfg.p_t / omega) / LN2 * f_comm
     if not math.isfinite(rate):
         raise ValueError(
             f"baseline rate overflows at p_t = {cfg.p_t!r} with a "

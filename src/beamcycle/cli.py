@@ -250,13 +250,19 @@ def cmd_sweep(config: RunConfig) -> int:
     rows = [_sweep_point(config, value) for value in config.axis_values]
     if config.sweep_axis == "power":
         se = [row["se_proposed"] for row in rows]
-        if any(b <= a for a, b in zip(se, se[1:])):
+        equal = [a for a, b in zip(se, se[1:]) if b <= a]
+        if equal:
             # Budgets closer together than the optimizer's tolerance give
-            # equal efficiencies, so the grid is rejected as invalid input.
+            # equal efficiencies, and so do effectively zero budgets (the
+            # zero-rate design), so the grid is rejected as invalid input.
+            cause = (
+                "effectively zero --values all give the zero-rate design"
+                if 0.0 in equal
+                else "--values closer than the optimizer's tolerance cannot be told apart"
+            )
             raise ValueError(
                 "spectral efficiency is not strictly increasing along the "
-                f"power axis: {se}; --values closer than the optimizer's "
-                "tolerance cannot be told apart"
+                f"power axis: {se}; {cause}"
             )
     _write_text(config.output_path, _csv(rows))
     return 0

@@ -8,6 +8,7 @@ from beamcycle import (
     build_schedule,
     coverage_suite,
     rate_slope,
+    run_all,
     slope_sign_suite,
     tight_zeta,
     validation,
@@ -60,6 +61,11 @@ def _rate_slope_flipped(upsilon, n_beams, p_hat_max):
     return rate_slope(upsilon, n, p_hat_max) + 2.0 * (n - 1.0) * w * zeta / (n * (1.0 + zeta))
 
 
+def _rising_power(rho, u_t, d, gamma):
+    """A power profile that rises with the width, the reverse of water-filling."""
+    return u_t / (d * gamma)
+
+
 class Mutant(NamedTuple):
     """A faulty stand-in for one name that beamcycle.validation looks up."""
 
@@ -77,6 +83,10 @@ SUITE_MUTANTS = {
     ),
     "rate-slope": Mutant(
         "rate_slope", _rate_slope_flipped, lambda params: slope_sign_suite(), "slope_sign", 807
+    ),
+    # The whole verify report, so that every other check is seen to pass.
+    "rising-power": Mutant(
+        "waterfilling_power", _rising_power, run_all, "jensen_waterfilling", 2
     ),
 }
 

@@ -59,6 +59,18 @@ class TestRateAndPower:
         rate, _ = rate_and_power(p, cfg)
         assert rate == pytest.approx(p.w_tot * comm_fraction(p, cfg), rel=1e-12)
 
+    def test_tiny_power_keeps_a_positive_rate(self):
+        # At an SNR below about 1e-16, 1 + snr rounds to 1 and log2 of it
+        # to 0; the rate is w * f * snr / ln 2 to first order.
+        p = make_params()
+        cfg = BaselineConfig(v_max=20.0, p_t=3e-25)
+        snr = snr_gamma(p) * cfg.p_t / math.radians(7.0)
+        assert snr < 1e-16
+        rate, _ = rate_and_power(p, cfg)
+        assert rate == pytest.approx(
+            p.w_tot * comm_fraction(p, cfg) * snr / math.log(2.0), rel=1e-12
+        )
+
     def test_strictly_increasing_in_power(self):
         p = make_params()
         rates = [

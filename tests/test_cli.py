@@ -187,6 +187,7 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err.startswith("error: spectral efficiency is not strictly increasing")
+        assert "optimizer's tolerance" in err
         assert "Traceback" not in err
 
     # Effectively zero budgets take optimize's zero-rate design: 3e-25 W used
@@ -198,8 +199,21 @@ class TestSweep:
         assert code == 0, err
         header, first, *rest = out.splitlines()
         assert header == "axis_value,se_proposed,se_11ad,eta_star,u_th_star_m,p_bar"
-        assert first.split(",")[1:] == ["0", "0", "2", "0.0016", "0"]
+        se_proposed, se_11ad, *design = first.split(",")[1:]
+        assert (se_proposed, design) == ("0", ["2", "0.0016", "0"])
+        # The fixed beam still gets a rate out of a budget this small.
+        assert float(se_11ad) > 0.0
         assert len(rest) == values.count(",")
+
+    def test_zero_budget_grid_exit_2_names_the_cause(self, capsys):
+        # Both budgets are effectively zero, a decade apart: the rows are
+        # equal zero-rate designs, not budgets too close to tell apart.
+        code, out, err = run_cli(capsys, "sweep", "--values", "1e-300,1e-299")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: spectral efficiency is not strictly increasing")
+        assert "effectively zero" in err
+        assert "tolerance" not in err
 
     def test_unwritable_path_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -299,6 +313,18 @@ class TestVerify:
             line for line in out.splitlines() if line.startswith("closed_vs_numeric_rate")
         )
         assert int(rate_row.split(",")[2]) > 0
+
+    def test_unconverged_quadrature_is_a_failed_case(self, capsys, monkeypatch):
+        # The oracle returns NaN when panel doubling does not converge.
+        monkeypatch.setattr(
+            "beamcycle.validation.avg_rate_numeric", lambda *args, **kwargs: float("nan")
+        )
+        code, out, err = run_cli(capsys, "verify", "--tuples", "4", "--profiles", "4")
+        assert code == 1
+        assert "Traceback" not in err
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in out.splitlines()[1:]}
+        assert rows["closed_vs_numeric_rate"] == ["4", "4", "nan"]
+        assert rows["closed_vs_numeric_power"][1] == "0"
 
 
 class TestBaseline:

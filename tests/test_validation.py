@@ -236,6 +236,27 @@ class TestReachableSets:
         assert escaped[0] == pytest.approx((-2.5 * step, 1.5 * step), rel=1e-6)
 
 
+def _refine_midpoint(f, a, b, rel_tol):
+    """Slow reference: composite midpoint with doubling and one Richardson step.
+
+    Refines from 64 points until two successive estimates agree to
+    ``rel_tol``; returns the extrapolated value.
+    """
+    if b <= a:
+        return 0.0
+    n = 64
+    x = a + (b - a) * (np.arange(n) + 0.5) / n
+    prev = (b - a) * float(np.mean(f(x)))
+    while n <= 2**23:
+        n *= 2
+        x = a + (b - a) * (np.arange(n) + 0.5) / n
+        cur = (b - a) * float(np.mean(f(x)))
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return (4.0 * cur - prev) / 3.0
+        prev = cur
+    raise RuntimeError(f"midpoint reference did not converge to {rel_tol}")
+
+
 class TestQuadrature:
     def test_matches_closed_forms_both_branches(self):
         p = make_params(delta_s=1e-5, phi=10.0)
@@ -248,6 +269,66 @@ class TestQuadrature:
             power_c = avg_power_closed(p, 2, u_th, rho)
             power_n = avg_power_numeric(p, 2, u_th, rho)
             assert power_n == pytest.approx(power_c, rel=1e-8)
+
+    @pytest.mark.parametrize("n_beams, upsilon", [(2, 50.0), (5, 900.0), (8, 12.0)])
+    @pytest.mark.parametrize("level_frac", [0.3, 0.9, 2.5])  # inside, inside, above
+    def test_matches_midpoint_reference(self, params, monkeypatch, n_beams, upsilon, level_frac):
+        u_th = upsilon * params.delta_s * params.phi
+        u_c = comm_width(params, u_th, n_beams)
+        level = u_c + level_frac * (u_th - u_c)
+        rho = _rho_for_level(params, level)
+        gauss = [f(params, n_beams, u_th, rho) for f in (avg_rate_numeric, avg_power_numeric)]
+        monkeypatch.setattr(validation, "_gauss_panels", _refine_midpoint)
+        midpoint = [
+            f(params, n_beams, u_th, rho, rel_tol=1e-9)
+            for f in (avg_rate_numeric, avg_power_numeric)
+        ]
+        assert gauss == pytest.approx(midpoint, rel=1e-12)
+
+    def test_nodes_match_numpy(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = validation._gauss_legendre()
+        ref_nodes, ref_weights = leggauss(validation.GAUSS_NODES)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+        assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
+        # Built once and shared, so no caller may write to them.
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+
+    def test_unconverged_is_nan(self):
+        # Panel doubling never puts a panel edge on 1/3, so the panel that
+        # holds the step keeps an error of the order of its width.
+        step_at_third = lambda x: (x > 1.0 / 3.0).astype(float)  # noqa: E731
+        assert math.isnan(validation._gauss_panels(step_at_third, 0.0, 1.0, 1e-12))
+        # A looser tolerance accepts it.
+        value = validation._gauss_panels(step_at_third, 0.0, 1.0, 1e-2)
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-2)
+
+    def test_default_verify_point_ceiling(self, monkeypatch, tmp_path):
+        # At most 1 + 2 panels per integral: 3 * 48 points, 57,600 over the
+        # 400 integrals of a default verify (the midpoint rule took 1.01e7).
+        from beamcycle.cli import main
+
+        counts = []
+        rule = validation._gauss_panels
+
+        def counted(f, a, b, rel_tol):
+            points = [0]
+
+            def g(x):
+                points[0] += x.size
+                return f(x)
+
+            value = rule(g, a, b, rel_tol)
+            counts.append(points[0])
+            return value
+
+        monkeypatch.setattr(validation, "_gauss_panels", counted)
+        assert main(["verify", "--out", str(tmp_path / "report.csv")]) == 0
+        assert len(counts) == 400
+        assert max(counts) <= 3 * validation.GAUSS_NODES
+        assert sum(counts) <= 57_600
 
     def test_zero_at_floor(self):
         p = make_params(delta_s=1e-5, phi=10.0)
