@@ -45,16 +45,6 @@ from .sweep import (
     min_upsilon,
     validate_small_angle,
 )
-from .validation import (
-    CheckResult,
-    avg_power_numeric,
-    avg_rate_numeric,
-    coverage_suite,
-    jensen_check,
-    quadrature_suite,
-    run_all,
-    slope_sign_suite,
-)
 
 __version__ = "0.1.0"
 
@@ -98,3 +88,18 @@ __all__ = [
     "validate_small_angle",
     "waterfilling_power",
 ]
+
+
+def __getattr__(name: str):
+    # The verification suites need numpy and the design path does not, so
+    # ``validation`` is imported on first use: every name in __all__ not
+    # bound above comes from it.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import validation
+
+    return getattr(validation, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -36,7 +36,15 @@ def comm_fraction(params: SystemParams, cfg: BaselineConfig) -> float:
     """Fraction of time spent communicating between two-beam realignments."""
     r = params.d * math.tan(math.radians(cfg.beamwidth_deg) / 2.0)
     dwell = r / cfg.v_max
-    return dwell / (dwell + 2.0 * params.delta_s)
+    fraction = dwell / (dwell + 2.0 * params.delta_s)
+    if not fraction > 0.0:
+        # A dwell time that underflows or overflows (NaN fails this too);
+        # power_for_avg divides by the fraction.
+        raise ValueError(
+            f"communication fraction {fraction!r} out of range for a "
+            f"{cfg.beamwidth_deg!r} degree beam at v_max = {cfg.v_max!r} m/s"
+        )
+    return fraction
 
 
 def rate_and_power(params: SystemParams, cfg: BaselineConfig) -> tuple[float, float]:

@@ -26,7 +26,6 @@ from .errors import FeasibilityError
 from .optimize import OptimalDesign, optimize_design
 from .params import SystemParams
 from .sweep import cycle_duration, validate_small_angle
-from .validation import run_all
 
 # Scenario defaults; phi follows v_max unless set explicitly, and n0 is in
 # dBm/Hz at this boundary.
@@ -273,10 +272,15 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         count = getattr(args, flag)
         if not 0 < count <= cap:
             raise ValueError(f"--{flag} must be in 1..{cap}, got {count}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
     if not math.isfinite(args.perturb_closed_form):
         raise ValueError(
             f"--perturb-closed-form must be finite, got {args.perturb_closed_form}"
         )
+    # Imported here so that the other commands never load numpy.
+    from .validation import run_all
+
     results = run_all(
         config.params,
         seed=config.seed,

@@ -44,7 +44,11 @@ class SystemParams:
         }
         for name, value in positive.items():
             if not value > 0.0 or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # The cycle math divides by the drift per microslot.
+        step = self.delta_s * self.phi
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"delta_s * phi must be positive and finite, got {step!r}")
         if self.xi > 1.0:
             raise ValueError(f"xi must be in (0, 1], got {self.xi!r}")
 

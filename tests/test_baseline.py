@@ -32,6 +32,17 @@ class TestCommFraction:
         tiny_slot = comm_fraction(make_params(delta_s=1e-12), BaselineConfig(v_max=20.0))
         assert tiny_slot == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "beamwidth_deg, v_max", [(5e-324, 20.0), (1e-300, 1e300), (7.0, 5e-324)]
+    )
+    def test_fraction_out_of_float_range_rejected(self, beamwidth_deg, v_max):
+        # The dwell time underflows to 0 or overflows to inf (a NaN fraction).
+        cfg = BaselineConfig(beamwidth_deg=beamwidth_deg, v_max=v_max)
+        with pytest.raises(ValueError, match="communication fraction"):
+            comm_fraction(make_params(), cfg)
+        with pytest.raises(ValueError, match="communication fraction"):
+            power_for_avg(make_params(), cfg, 1e-3)
+
     def test_strictly_decreasing_in_speed_and_slot(self):
         p = make_params()
         speeds = np.linspace(1.0, 60.0, 30)

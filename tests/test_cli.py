@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamcycle import CheckResult
 from beamcycle.cli import VERIFY_CAPS, dbm_per_hz_to_w_per_hz, main
@@ -44,6 +49,13 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert "p_max" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_power_budget_exit_2(self, capsys, value):
+        code, out, err = run_cli(capsys, "optimize", "--pmax", value)
+        assert code == 2
+        assert out == ""
+        assert f"p_max must be positive and finite, got {value}" in err
 
     @pytest.mark.parametrize("command", ["sweep", "baseline"])
     def test_zero_power_budget_rejected_elsewhere(self, capsys, command):
@@ -243,7 +255,7 @@ class TestVerify:
             calls.append(counts)
             return [CheckResult("stub", 1, 0, 0.0)]
 
-        monkeypatch.setattr("beamcycle.cli.run_all", stub)
+        monkeypatch.setattr("beamcycle.validation.run_all", stub)
         cap = VERIFY_CAPS[flag]
         code, out, err = run_cli(capsys, "verify", f"--{flag}", str(cap + 1))
         assert code == 2
@@ -278,6 +290,12 @@ class TestVerify:
         assert "closed_vs_numeric_rate" in names
         assert "sweep_coverage" in names
         assert all(line.split(",")[2] == "0" for line in lines[1:])
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_perturbation_rejected(self, capsys, eps):
@@ -454,3 +472,62 @@ def test_zero_budget_matches_golden_bytes(capsys, tmp_path, as_json):
     assert err.startswith("warning: power budget is effectively zero")
     assert out.encode() == (GOLDEN_TESTS / f"{name}.stdout").read_bytes()
     assert csv_path.read_bytes() == (GOLDEN_TESTS / "optimize-pmax0.csv").read_bytes()
+
+
+# Each subcommand's float flags, and the values drawn for them: the edges of
+# the float range and of every domain, then typical values.
+FUZZ_FLAGS = {
+    "optimize": ("--pmax", "--phi", "--vmax"),
+    "sweep": ("--pmax", "--phi", "--vmax"),
+    "verify": ("--phi", "--vmax", "--perturb-closed-form"),
+    "baseline": ("--pmax", "--phi", "--vmax", "--beamwidth-deg", "--pt"),
+}
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(
+        ["0", "-0.0", "-1", "-1e-300", "5e-324", "1e-300", "1e300", "1.7e308",
+         "nan", "inf", "-inf", "180"]
+    ),
+    st.floats(1e-4, 100.0).map(repr),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True))
+    # --flag=value, so that argparse never reads "-1e-300" as a flag.
+    argv = [command] + [f"{flag}={draw(FUZZ_VALUES)}" for flag in flags]
+    if command in ("optimize", "baseline") and draw(st.booleans()):
+        argv.append("--json")
+    if command == "sweep":
+        argv.append(f"--axis={draw(st.sampled_from(['power', 'speed']))}")
+        if draw(st.booleans()):
+            values = draw(st.lists(FUZZ_VALUES, min_size=1, max_size=3))
+            argv.append(f"--values={','.join(values)}")
+    if command == "verify":
+        # Small case counts only: the caps are tested with a stub.
+        argv += [
+            f"--tuples={draw(st.integers(-1, 20))}",
+            f"--profiles={draw(st.integers(-1, 50))}",
+            f"--seed={draw(st.integers(-1, 2**64))}",
+        ]
+    return argv
+
+
+@given(argv=cli_argv())
+# Inputs that once escaped as ZeroDivisionError or OverflowError.
+@example(["baseline", "--beamwidth-deg=5e-324"])
+@example(["sweep", "--axis=speed", "--values=5e-324"])
+@example(["verify", "--phi=1e300", "--tuples=2", "--profiles=2"])
+@example(["verify", "--phi=1.7e308", "--tuples=2", "--profiles=2"])
+@settings(max_examples=80, deadline=None)
+def test_every_argv_gets_a_bounded_answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 10.0
+    # 1 means a failed verification, which only verify reports.
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""

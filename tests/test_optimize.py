@@ -347,14 +347,28 @@ class TestRateBound:
 def test_design_path_imports_no_numpy():
     # The closed forms and the optimizer are scalar code on math: numpy's
     # per-call cost on Python floats made the bisection several times slower.
+    # Only verify needs numpy, so the CLI and the package import the
+    # verification suites where they are used, not at module level.
     package = Path(beamcycle.__file__).parent
-    for name in ("optimize", "performance", "sweep", "errors"):
+    modules = (
+        "optimize", "performance", "sweep", "errors", "baseline", "params", "cli", "__init__"
+    )
+    for name in modules:
         tree = ast.parse((package / f"{name}.py").read_text())
         imported = [
             alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
             for alias in node.names
         ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert not [m for m in imported if m.split(".")[0] == "numpy"], name
+    for name in ("cli", "__init__"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        top_level = [
+            node for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and (node.module == "validation"
+                 or any(alias.name == "validation" for alias in node.names))
+        ]
+        assert not top_level, name
 
 
 def rates_of(design, n):

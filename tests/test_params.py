@@ -16,6 +16,14 @@ class TestSystemParams:
             make_params(**{field: 0.0})
         with pytest.raises(ValueError, match=field):
             make_params(**{field: -1.0})
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                make_params(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [{"phi": 5e-324}, {"delta_s": 1e300, "phi": 1e300}])
+    def test_drift_step_in_float_range(self, overrides):
+        with pytest.raises(ValueError, match=r"delta_s \* phi must be positive and finite"):
+            make_params(**overrides)
 
     def test_xi_capped_at_one(self):
         with pytest.raises(ValueError, match="xi"):
