@@ -10,7 +10,7 @@ The package provides the sweep-schedule geometry, closed-form cycle
 average rate/power under water-filling, the dimensionless design space and
 its constrained rate maximization, a fixed-beamwidth comparison scheme,
 and independent verification by exact reachable sets of the sweep,
-numerical quadrature and random power profiles.
+numerical quadrature and an optimality certificate for water-filling.
 """
 
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power

@@ -66,6 +66,11 @@ def _rising_power(rho, u_t, d, gamma):
     return u_t / (d * gamma)
 
 
+def _half_slope_power(rho, u_t, d, gamma):
+    """Water-filling falling at half its slope: no fixed profile beats it."""
+    return max(0.0, rho - u_t / (2.0 * d * gamma))
+
+
 class Mutant(NamedTuple):
     """A faulty stand-in for one name that beamcycle.validation looks up."""
 
@@ -86,7 +91,10 @@ SUITE_MUTANTS = {
     ),
     # The whole verify report, so that every other check is seen to pass.
     "rising-power": Mutant(
-        "waterfilling_power", _rising_power, run_all, "jensen_waterfilling", 2
+        "waterfilling_power", _rising_power, run_all, "jensen_waterfilling", 3
+    ),
+    "half-slope": Mutant(
+        "waterfilling_power", _half_slope_power, run_all, "jensen_waterfilling", 1
     ),
 }
 

@@ -210,14 +210,13 @@ def test_criterion_6_waterfilling_optimality(params):
             n_beams=2,
             u_th=u_th,
             rho=level_frac * u_th / (params.d * gamma),
-            n_perturbations=1000,
-            seed=606,
         )
-        assert result.n_cases >= 1000
+        # The KKT certificate and three equal-power profiles.
+        assert result.n_cases == 4
         assert result.n_failures == 0
         assert result.worst_residual <= 1e-9
         worst = max(worst, result.worst_residual)
-    print(f"ACCEPTANCE 6 water-filling optimality: PASS (worst excess {worst:.3g})")
+    print(f"ACCEPTANCE 6 water-filling optimality: PASS (worst residual {worst:.3g})")
 
 
 def test_criterion_7_figure_trends(params):
@@ -275,8 +274,7 @@ def test_criterion_8_fault_injection(params, monkeypatch):
     assert all(r.n_failures > 0 for r in faulty)
     from beamcycle.cli import main
 
-    assert main(["verify", "--tuples", "5", "--profiles", "5",
-                 "--perturb-closed-form", "1e-3", "--out", "/dev/null"]) == 1
+    assert main(["verify", "--perturb-closed-form", "1e-3", "--out", "/dev/null"]) == 1
     caught = []
     for name, mutant in sorted(SUITE_MUTANTS.items()):
         results = run_mutant(params, monkeypatch, name)

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import re
 import time
 from pathlib import Path
 
@@ -8,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamcycle import CheckResult
-from beamcycle.cli import VERIFY_CAPS, dbm_per_hz_to_w_per_hz, main
+from beamcycle.cli import _make_parser, dbm_per_hz_to_w_per_hz, main
 
 
 def run_cli(capsys, *argv):
@@ -240,49 +241,17 @@ class TestSweep:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("flag", ["--tuples", "--profiles"])
-    def test_nonpositive_counts_rejected(self, capsys, flag):
-        code, out, err = run_cli(capsys, "verify", flag, "0")
-        assert code == 2
-        assert out == ""
-        assert flag in err
-
-    @pytest.mark.parametrize("flag", ["tuples", "profiles"])
-    def test_counts_capped_before_any_work(self, capsys, monkeypatch, flag):
-        calls = []
-
-        def stub(params, **counts):
-            calls.append(counts)
-            return [CheckResult("stub", 1, 0, 0.0)]
-
-        monkeypatch.setattr("beamcycle.validation.run_all", stub)
-        cap = VERIFY_CAPS[flag]
-        code, out, err = run_cli(capsys, "verify", f"--{flag}", str(cap + 1))
-        assert code == 2
-        assert out == "" and not calls
-        assert err.startswith("error:") and f"--{flag}" in err
-        # The cap itself is accepted; the stub stands in for the run.
-        assert run_cli(capsys, "verify", f"--{flag}", str(cap))[0] == 0
-        assert len(calls) == 1
-
     def test_ignores_config_budget(self, capsys, tmp_path):
         # verify reads no budget, so one that optimize would take as zero
         # neither stops it nor changes its report.
         cfg = tmp_path / "zero.cfg"
         cfg.write_text("p_max = 0\n")
-        small = ["verify", "--tuples", "2", "--profiles", "2"]
-        plain = run_cli(capsys, *small)
+        plain = run_cli(capsys, "verify")
         assert plain[0] == 0
-        assert run_cli(capsys, *small, "--config", str(cfg)) == plain
+        assert run_cli(capsys, "verify", "--config", str(cfg)) == plain
 
     def test_passes_and_reports(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            "--tuples", "10",
-            "--profiles", "20",
-            "--seed", "5",
-        )
+        code, out, _ = run_cli(capsys, "verify", "--seed", "5")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "check_name,n_cases,n_failures,worst_residual"
@@ -306,9 +275,7 @@ class TestVerify:
 
     def test_report_schema(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
-        code, out, _ = run_cli(
-            capsys, "verify", "--tuples", "2", "--profiles", "2", "--out", str(out_path),
-        )
+        code, out, _ = run_cli(capsys, "verify", "--out", str(out_path))
         assert code == 0
         assert out == ""
         lines = out_path.read_text().strip().splitlines()
@@ -319,13 +286,7 @@ class TestVerify:
             int(n_cases), int(n_failures), float(worst)
 
     def test_fault_injection_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            "--perturb-closed-form", "1e-3",
-            "--tuples", "10",
-            "--profiles", "10",
-        )
+        code, out, _ = run_cli(capsys, "verify", "--perturb-closed-form", "1e-3")
         assert code == 1
         rate_row = next(
             line for line in out.splitlines() if line.startswith("closed_vs_numeric_rate")
@@ -337,11 +298,11 @@ class TestVerify:
         monkeypatch.setattr(
             "beamcycle.validation.avg_rate_numeric", lambda *args, **kwargs: float("nan")
         )
-        code, out, err = run_cli(capsys, "verify", "--tuples", "4", "--profiles", "4")
+        code, out, err = run_cli(capsys, "verify")
         assert code == 1
         assert "Traceback" not in err
         rows = {line.split(",")[0]: line.split(",")[1:] for line in out.splitlines()[1:]}
-        assert rows["closed_vs_numeric_rate"] == ["4", "4", "nan"]
+        assert rows["closed_vs_numeric_rate"] == ["200", "200", "nan"]
         assert rows["closed_vs_numeric_power"][1] == "0"
 
 
@@ -396,6 +357,27 @@ class TestBaseline:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["optimize", "verify", "sweep", "baseline"])
+def test_only_baseline_users_check_its_beam(capsys, tmp_path, command):
+    # A beam the baseline rejects stops the commands that compute the
+    # baseline, and no other.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("beamwidth_deg = 200\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    if command in ("sweep", "baseline"):
+        assert code == 2 and "beamwidth_deg" in err
+    else:
+        assert code == 0
+
+
+def test_optimize_ends_on_its_own_error_where_the_baseline_fails(capsys):
+    # At this phi the baseline's communication fraction is NaN, and the
+    # normalized budget overflows the beam-count search.
+    code, out, err = run_cli(capsys, "optimize", "--phi", "1e-310")
+    assert code == 2 and out == ""
+    assert err.startswith("error: beam count search exceeded")
+
+
 def test_bad_flag_value_exit_2(capsys):
     code, _, err = run_cli(capsys, "optimize", "--phi", "-5")
     assert code == 2
@@ -410,9 +392,11 @@ def test_bad_flag_value_exit_2(capsys):
         ["sweep", "--seed", "1"],
         ["baseline", "--seed", "1"],
         ["sweep", "--json"],
-        ["verify", "--json", "--tuples", "1", "--profiles", "1"],
+        ["verify", "--json"],
         ["verify", "--pmax", "0"],
         ["verify", "--trajectories", "3"],
+        ["verify", "--tuples", "3"],
+        ["verify", "--profiles", "3"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -453,9 +437,7 @@ GOLDEN_TESTS = Path(__file__).resolve().parent / "golden"
 
 def test_small_verify_matches_golden_bytes(capsys):
     # No benchmark check compares verify's report bytes; this pins them.
-    code, out, _ = run_cli(
-        capsys, "verify", "--seed", "0", "--tuples", "20", "--profiles", "50",
-    )
+    code, out, _ = run_cli(capsys, "verify", "--seed", "0")
     assert code == 0
     assert out.encode() == (GOLDEN_TESTS / "verify-seed0.csv").read_bytes()
 
@@ -505,12 +487,7 @@ def cli_argv(draw):
             values = draw(st.lists(FUZZ_VALUES, min_size=1, max_size=3))
             argv.append(f"--values={','.join(values)}")
     if command == "verify":
-        # Small case counts only: the caps are tested with a stub.
-        argv += [
-            f"--tuples={draw(st.integers(-1, 20))}",
-            f"--profiles={draw(st.integers(-1, 50))}",
-            f"--seed={draw(st.integers(-1, 2**64))}",
-        ]
+        argv.append(f"--seed={draw(st.integers(-1, 2**64))}")
     return argv
 
 
@@ -518,8 +495,11 @@ def cli_argv(draw):
 # Inputs that once escaped as ZeroDivisionError or OverflowError.
 @example(["baseline", "--beamwidth-deg=5e-324"])
 @example(["sweep", "--axis=speed", "--values=5e-324"])
-@example(["verify", "--phi=1e300", "--tuples=2", "--profiles=2"])
-@example(["verify", "--phi=1.7e308", "--tuples=2", "--profiles=2"])
+@example(["verify", "--phi=1e300"])
+@example(["verify", "--phi=1.7e308"])
+# Inputs that the baseline, which neither command uses, once stopped.
+@example(["optimize", "--phi=1e-310"])
+@example(["verify", "--phi=1e-310"])
 @settings(max_examples=80, deadline=None)
 def test_every_argv_gets_a_bounded_answer(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -531,3 +511,33 @@ def test_every_argv_gets_a_bounded_answer(argv):
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _flags(text):
+    return set(re.findall(r"--[a-z][a-z-]*", text))
+
+
+def test_readme_flag_table_matches_parser():
+    # The README names the flags every command takes in one sentence and
+    # each command's own flags in one table; the parser must agree with both.
+    (commands,) = [
+        action for action in _make_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    shared = set.intersection(*parsed.values())
+    text = README.read_text()
+    sentence = text.split("Every command takes ", 1)[1].split(";", 1)[0]
+    table = text.split("| Command | Own flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+    assert _flags(sentence) == shared
+    assert {name: _flags(flags) for name, flags in rows.items()} == {
+        name: flags - shared for name, flags in parsed.items()
+    }

@@ -344,6 +344,33 @@ class TestRateBound:
         assert all(b <= a for a, b in zip(from_five, from_five[1:]))
 
 
+def grid_rates(n, budget, points=500):
+    """Power-tight rates of ``n`` beams on an even ``upsilon`` grid, no bisection."""
+    shrink, nonneg = trigger_width_branches(n)
+    lo = max(nonneg, shrink * (1.0 + 1e-9))
+    hi = max_upsilon(n, budget)
+    grid = (lo + (hi - lo) * k / points for k in range(points + 1))
+    return [norm_rate(n, ups, tight_zeta(ups, n, budget)) for ups in grid]
+
+
+class TestGridOracle:
+    @given(log_budget=st.floats(-3.0, 2.0))
+    @settings(max_examples=30, deadline=None)
+    def test_design_is_the_best_grid_point(self, log_budget):
+        # A dense search over every feasible beam count shares no code with
+        # the bisection: no grid point may beat the design, and the design
+        # may beat the best one by no more than one grid step of rate.
+        unit = norm_power_budget(make_params(p_max=1.0))
+        params = make_params(p_max=10.0**log_budget / unit)
+        budget = norm_power_budget(params)
+        design = optimize_design(params)
+        rate = norm_rate(design.n_beams, design.upsilon, design.zeta)
+        grids = [grid_rates(n, budget) for n in range(2, max_beams(budget) + 1)]
+        best = max(max(rates) for rates in grids)
+        step = max(abs(b - a) for rates in grids for a, b in zip(rates, rates[1:]))
+        assert best * (1.0 - 1e-12) <= rate <= best + step
+
+
 def test_design_path_imports_no_numpy():
     # The closed forms and the optimizer are scalar code on math: numpy's
     # per-call cost on Python floats made the bisection several times slower.

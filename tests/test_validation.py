@@ -347,43 +347,69 @@ class TestQuadrature:
 class TestJensen:
     def test_no_profile_beats_waterfilling(self, params):
         u_th = 100 * params.delta_s * params.phi
-        result = jensen_check(
-            params, 2, u_th, _rho_for_level(params, 0.8 * u_th), seed=3
-        )
+        result = jensen_check(params, 2, u_th, _rho_for_level(params, 0.8 * u_th))
         assert result.n_failures == 0
         assert result.worst_residual <= 1e-9
 
     def test_waterfilling_itself_included_as_equality(self, params):
+        # The water-filling profile against itself scores exactly 0, so the
+        # worst residual is never negative; the certificate adds rounding.
         u_th = 100 * params.delta_s * params.phi
-        result = jensen_check(
-            params,
-            2,
-            u_th,
-            _rho_for_level(params, 1.5 * u_th),
-            n_perturbations=10,
-            seed=0,
-        )
-        assert result.worst_residual == 0.0  # the water-filling case itself
+        result = jensen_check(params, 2, u_th, _rho_for_level(params, 1.5 * u_th))
+        assert 0.0 <= result.worst_residual <= 1e-15
 
-    def test_seed_determinism(self, params):
+    def test_certificate_and_three_profiles(self, params):
+        # The KKT certificate plus the water-filling, constant and reversed
+        # profiles; nothing is drawn, so two calls agree.
         u_th = 50 * params.delta_s * params.phi
         rho = _rho_for_level(params, 0.9 * u_th)
-        a = jensen_check(params, 2, u_th, rho, n_perturbations=50, seed=12)
-        b = jensen_check(params, 2, u_th, rho, n_perturbations=50, seed=12)
-        assert a == b
+        result = jensen_check(params, 2, u_th, rho)
+        assert result.n_cases == 4 and result.passed
+        assert jensen_check(params, 2, u_th, rho) == result
 
-    def test_zero_budget_counts_every_profile(self, params):
-        # rho = 0 gives an all-zero water-filling profile; 252 zero profiles
-        # take 26 batches, the last one short.
+    def test_zero_budget_runs_the_comparisons_only(self, params):
+        # rho = 0 gives an all-zero profile, the only one of zero power.
         u_th = 50 * params.delta_s * params.phi
-        result = jensen_check(params, 2, u_th, 0.0, n_perturbations=250)
-        assert result == CheckResult("jensen_waterfilling", 253, 0, 0.0)
+        result = jensen_check(params, 2, u_th, 0.0)
+        assert result == CheckResult("jensen_waterfilling", 3, 0, 0.0)
 
     def test_nan_rates_fail(self, params):
         # A NaN trigger width makes every profile's rate NaN.
-        result = jensen_check(params, 2, math.nan, 1.0, n_perturbations=10)
+        result = jensen_check(params, 2, math.nan, 1.0)
         assert result.n_failures == result.n_cases > 0
         assert math.isnan(result.worst_residual)
+
+    def test_negative_power_fails_the_certificate(self, params, monkeypatch):
+        # Water-filling without its (.)+ has one marginal rate everywhere,
+        # but its negative powers are infeasible.
+        monkeypatch.setattr(
+            validation, "waterfilling_power", lambda rho, u_t, d, gamma: rho - u_t / (d * gamma)
+        )
+        u_th = 100 * params.delta_s * params.phi
+        result = jensen_check(params, 2, u_th, _rho_for_level(params, 0.8 * u_th))
+        assert result.n_failures >= 1
+        assert result.worst_residual == math.inf
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_beams=st.integers(2, 8),
+        upsilon_frac=st.floats(0.0, 1.0),
+        level_frac=st.floats(0.05, 3.0),
+        phi=st.sampled_from([2.0, 40.0, 120.0]),
+        d=st.sampled_from([1.0, 10.0, 100.0]),
+    )
+    def test_certificate_holds_on_true_designs(
+        self, n_beams, upsilon_frac, level_frac, phi, d
+    ):
+        # Water levels inside the cycle's width range and above it.
+        params = make_params(phi=phi, d=d)
+        upsilon = min_upsilon(n_beams) * (1.0 + 1e-6) + 1000.0 * upsilon_frac
+        u_th = upsilon * params.delta_s * params.phi
+        u_c = comm_width(params, u_th, n_beams)
+        level = u_c + level_frac * (u_th - u_c)
+        result = jensen_check(params, n_beams, u_th, _rho_for_level(params, level))
+        assert result.n_cases == 4 and result.n_failures == 0
+        assert result.worst_residual <= 1e-14
 
 
 def _assert_caught_alone(params, monkeypatch, mutant):
@@ -467,15 +493,14 @@ def _traced_peak(fn):
 class TestMemory:
     """Allocation peaks of the suites at verify's defaults.
 
-    jensen_check reuses two small batch buffers, and coverage_suite holds a
-    few intervals per design point, so neither holds an array sized by the
-    whole run.
+    jensen_check holds a few grid-sized arrays, and coverage_suite a few
+    intervals per design point.
     """
 
     def test_jensen_check_peak(self, params):
         u_th = 100 * params.delta_s * params.phi
         rho = _rho_for_level(params, 0.8 * u_th)
-        assert _traced_peak(lambda: jensen_check(params, 2, u_th, rho)) < 4 * 2**20
+        assert _traced_peak(lambda: jensen_check(params, 2, u_th, rho)) < 2**20
 
     def test_coverage_suite_peak(self, params):
         assert _traced_peak(lambda: coverage_suite(params)) < 2**20
