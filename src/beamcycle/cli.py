@@ -56,7 +56,10 @@ _SPEED_GRID = tuple(float(v) for v in range(5, 41, 5))         # m/s
 
 
 def dbm_per_hz_to_w_per_hz(n0_dbm: float) -> float:
-    return 10.0 ** (n0_dbm / 10.0 - 3.0)
+    try:
+        return 10.0 ** (n0_dbm / 10.0 - 3.0)
+    except OverflowError:
+        raise ValueError(f"n0 = {n0_dbm!r} dBm/Hz is past the float range in W/Hz") from None
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,14 @@ class SystemParams:
             raise ValueError(f"delta_s * phi must be positive and finite, got {step!r}")
         if self.xi > 1.0:
             raise ValueError(f"xi must be in (0, 1], got {self.xi!r}")
+        # Every rate and power scales by gamma; its powers of d and wavelength
+        # can leave the float range even when each constant is inside it.
+        try:
+            gamma = snr_gamma(self)
+        except ArithmeticError:
+            gamma = math.nan
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(f"the SNR factor gamma must be positive and finite, got {gamma!r}")
 
 
 def snr_gamma(params: SystemParams) -> float:

@@ -10,7 +10,10 @@ The normalization
     zeta    = d*gamma*rho / (delta_s*phi*upsilon) - 1   (water-level headroom)
 removes every system constant from the design problem: the normalized rate
 ``norm_rate`` and power ``norm_power`` depend on (n_beams, upsilon, zeta)
-only.
+only. They are the one statement of each closed form: the physical
+``avg_rate_closed`` and ``avg_power_closed`` validate a design, normalize
+it and scale these back. The formulas are thus free of the physical scale:
+``phi`` from 1e-300 to 1e300 leaves their arithmetic in the float range.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 from .errors import FeasibilityError
 from .params import SystemParams, snr_gamma
-from .sweep import comm_width, cycle_duration, min_u_th
+from .sweep import comm_width, min_u_th
 
 LN2 = math.log(2.0)
 
@@ -38,8 +41,11 @@ def waterfilling_power(rho: float, u_t: float, d: float, gamma: float) -> float:
 
 def _check_cycle_inputs(
     params: SystemParams, n_beams: int, u_th: float, rho: float
-) -> tuple[float, float, float]:
-    """Validate a (n_beams, u_th, rho) design; return (gamma, u_comm, T)."""
+) -> tuple[float, float]:
+    """Validate a (n_beams, u_th, rho) design; return its (upsilon, zeta).
+
+    The exact inverse of ``denormalize``.
+    """
     if u_th < min_u_th(params, n_beams) * (1.0 - _EPS):
         raise FeasibilityError(
             f"u_th = {u_th} m infeasible for {n_beams} beams "
@@ -52,37 +58,26 @@ def _check_cycle_inputs(
             f"rho = {rho} below the water-filling floor u_comm/(d*gamma) "
             f"= {u_c / (params.d * gamma)}"
         )
-    return gamma, u_c, cycle_duration(params, u_th, n_beams)
+    step = params.delta_s * params.phi
+    upsilon = u_th / step
+    return upsilon, params.d * gamma * rho / (step * upsilon) - 1.0
 
 
 def avg_rate_closed(
     params: SystemParams, n_beams: int, u_th: float, rho: float
 ) -> float:
     """Cycle-averaged rate (bit/s) under water-filling at level ``rho``."""
-    gamma, u_c, t_cycle = _check_cycle_inputs(params, n_beams, u_th, rho)
-    level = params.d * gamma * rho  # water level expressed as a width, m
-    bracket = (
-        (u_th - u_c) * (1.0 + math.log(level))
-        - u_th * math.log(u_th)
-        + u_c * math.log(u_c)
-    )
-    if level <= u_th:
-        # Water level inside the cycle: the tail of the data phase is idle.
-        bracket += u_th * math.log(u_th / level) + level - u_th
-    return params.w_tot / (LN2 * params.phi * t_cycle) * bracket
+    upsilon, zeta = _check_cycle_inputs(params, n_beams, u_th, rho)
+    return params.w_tot * norm_rate(n_beams, upsilon, zeta) / LN2
 
 
 def avg_power_closed(
     params: SystemParams, n_beams: int, u_th: float, rho: float
 ) -> float:
     """Cycle-averaged transmit power under water-filling at level ``rho``."""
-    gamma, u_c, t_cycle = _check_cycle_inputs(params, n_beams, u_th, rho)
-    level = params.d * gamma * rho
-    denom = 2.0 * params.d * params.phi * gamma * t_cycle
-    value = (u_th - u_c) * (2.0 * level - u_th - u_c) / denom
-    if level <= u_th:
-        value += (u_th - level) ** 2 / denom
-    return value
+    upsilon, zeta = _check_cycle_inputs(params, n_beams, u_th, rho)
+    step = params.delta_s * params.phi
+    return norm_power(n_beams, upsilon, zeta) * step / (params.d * snr_gamma(params))
 
 
 # ---------------------------------------------------------------------------

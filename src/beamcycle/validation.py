@@ -12,10 +12,15 @@ forms they test:
   every speed sequence at that time resolution is checked at once;
 * composite Gauss-Legendre quadrature of the defining rate/power
   integrals, with the panel count doubled until two estimates agree,
-  against the closed forms. The integration range stops where the
-  water-filling power reaches zero, so the integrand is smooth there and
-  a few panels suffice; an integral that does not converge is a failed
-  case;
+  against the closed forms. The integrals run over the sweep geometry
+  (``comm_width``, ``cycle_duration``) in physical units, while the
+  closed forms are ``norm_rate``/``norm_power`` scaled back, so the oracle
+  tests the formulas the optimizer uses. The integration range stops where
+  the water-filling power reaches zero, so the integrand is smooth there
+  and a few panels suffice; an integral that does not converge is a failed
+  case. At the other defaults the suite passes for ``phi`` from 1e-300 to
+  1e300; at 1.7e308 ``cycle_duration`` overflows, and at 1e-310 the
+  quadrature does not converge;
 * the first-order (KKT) optimality conditions of the water-filling
   profile on a time grid over the data phase, which prove that no
   profile of equal average power on that grid has a higher average rate.

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -7,11 +8,13 @@ from beamcycle import (
     SystemParams,
     build_schedule,
     coverage_suite,
+    norm_power,
+    norm_rate,
+    quadrature_suite,
     rate_slope,
     run_all,
     slope_sign_suite,
     tight_zeta,
-    validation,
 )
 
 
@@ -71,10 +74,30 @@ def _half_slope_power(rho, u_t, d, gamma):
     return max(0.0, rho - u_t / (2.0 * d * gamma))
 
 
-class Mutant(NamedTuple):
-    """A faulty stand-in for one name that beamcycle.validation looks up."""
+def _pref(n_beams, upsilon):
+    """The prefactor n / ((n-1) (upsilon + n/2 - 1)) of the normalized forms."""
+    n = n_beams
+    return n / ((n - 1.0) * (upsilon + n / 2.0 - 1.0))
 
-    target: str                      # the name in beamcycle.validation it replaces
+
+def _norm_rate_no_tail(n_beams, upsilon, zeta):
+    """norm_rate without its idle-tail term upsilon * (zeta - log1p(zeta)) below zero headroom."""
+    z = min(zeta, 0.0)
+    return norm_rate(n_beams, upsilon, zeta) - _pref(n_beams, upsilon) * upsilon * (
+        z - math.log1p(z)
+    )
+
+
+def _norm_power_no_tail(n_beams, upsilon, zeta):
+    """norm_power without its idle-tail term (upsilon * zeta)^2 below zero headroom."""
+    tail = upsilon**2 * min(zeta, 0.0) ** 2
+    return norm_power(n_beams, upsilon, zeta) - 0.5 * _pref(n_beams, upsilon) * tail
+
+
+class Mutant(NamedTuple):
+    """A faulty stand-in for one module-level name of the package."""
+
+    target: str                      # the dotted name it replaces, below beamcycle
     stand_in: Callable
     suite: Callable                  # params -> the suite's CheckResults
     check: str                       # the one check that must catch it
@@ -82,19 +105,34 @@ class Mutant(NamedTuple):
 
 
 SUITE_MUTANTS = {
-    "no-backoff": Mutant("build_schedule", _no_backoff, coverage_suite, "sweep_coverage", 1),
+    "no-backoff": Mutant(
+        "validation.build_schedule", _no_backoff, coverage_suite, "sweep_coverage", 1
+    ),
     "narrow-window": Mutant(
-        "build_schedule", _narrow_window, coverage_suite, "post_sweep_width", 7
+        "validation.build_schedule", _narrow_window, coverage_suite, "post_sweep_width", 7
     ),
     "rate-slope": Mutant(
-        "rate_slope", _rate_slope_flipped, lambda params: slope_sign_suite(), "slope_sign", 807
+        "validation.rate_slope",
+        _rate_slope_flipped,
+        lambda params: slope_sign_suite(),
+        "slope_sign",
+        807,
     ),
     # The whole verify report, so that every other check is seen to pass.
     "rising-power": Mutant(
-        "waterfilling_power", _rising_power, run_all, "jensen_waterfilling", 3
+        "validation.waterfilling_power", _rising_power, run_all, "jensen_waterfilling", 3
     ),
     "half-slope": Mutant(
-        "waterfilling_power", _half_slope_power, run_all, "jensen_waterfilling", 1
+        "validation.waterfilling_power", _half_slope_power, run_all, "jensen_waterfilling", 1
+    ),
+    # The closed forms are wrappers over these, so the oracle guards them.
+    "rate-no-tail": Mutant(
+        "performance.norm_rate", _norm_rate_no_tail, quadrature_suite,
+        "closed_vs_numeric_rate", 100,
+    ),
+    "power-no-tail": Mutant(
+        "performance.norm_power", _norm_power_no_tail, quadrature_suite,
+        "closed_vs_numeric_power", 100,
     ),
 }
 
@@ -103,5 +141,5 @@ def run_mutant(params, monkeypatch, name):
     """Results by check name of mutant ``name``'s suite, run with the mutant in place."""
     mutant = SUITE_MUTANTS[name]
     with monkeypatch.context() as patch:
-        patch.setattr(validation, mutant.target, mutant.stand_in)
+        patch.setattr(f"beamcycle.{mutant.target}", mutant.stand_in)
         return {r.check_name: r for r in mutant.suite(params)}

@@ -442,14 +442,14 @@ class TestSuites:
             assert math.isnan(result.worst_residual)
             assert not result.passed
 
-    @pytest.mark.parametrize("phi", [1e300, 1.7e308])
+    @pytest.mark.parametrize("phi", [1.7e308])
     def test_quadrature_suite_fails_past_float_range(self, phi):
-        # The closed power form overflows at 1e300, and at 1.7e308 the cycle
-        # time underflows to zero: failed cases, not a traceback.
+        # At 1.7e308 the cycle time's phi * n overflows, so the oracle
+        # integrates over the wrong geometry: failed cases, not a traceback.
         *_, power = quadrature_suite(make_params(phi=phi), n_tuples=4, seed=2)
         assert power.check_name == "closed_vs_numeric_power"
         assert power.n_failures == power.n_cases == 4
-        assert math.isnan(power.worst_residual)
+        assert not math.isfinite(power.worst_residual)
 
     def test_coverage_suite_small(self, params):
         results = coverage_suite(params, points=[(2, 8.0), (4, 300.0)])
