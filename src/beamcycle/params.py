@@ -10,6 +10,7 @@ W/Hz the natural choice is watts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -45,10 +46,12 @@ class SystemParams:
         for name, value in positive.items():
             if not value > 0.0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        # The cycle math divides by the drift per microslot.
+        # The cycle math divides by the drift per microslot, a normal float.
         step = self.delta_s * self.phi
-        if not 0.0 < step < math.inf:
-            raise ValueError(f"delta_s * phi must be positive and finite, got {step!r}")
+        if not sys.float_info.min <= step < math.inf:
+            raise ValueError(
+                f"delta_s * phi must be positive and finite, and not subnormal, got {step!r}"
+            )
         if self.xi > 1.0:
             raise ValueError(f"xi must be in (0, 1], got {self.xi!r}")
         # Every rate and power scales by gamma; its powers of d and wavelength

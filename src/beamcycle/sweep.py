@@ -8,7 +8,8 @@ The sweep uses ``n_beams`` probe beams over consecutive microslots of
 duration ``delta_s``. Widths grow arithmetically with step ``delta_s*phi/d``
 so that the post-sweep uncertainty width ``u_comm`` does not depend on which
 beam detects the user, and consecutive scan intervals back off by
-``delta_s*phi/2`` to absorb in-sweep motion.
+``delta_s*phi/2`` to absorb in-sweep motion. A beam detects at the start
+of its microslot.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ def comm_width(params: SystemParams, u_th: float, n_beams: int) -> float:
 def cycle_duration(params: SystemParams, u_th: float, n_beams: int) -> float:
     """Cycle duration T (s): the width regrows from u_comm back to u_th."""
     n = float(n_beams)
-    return (n - 1.0) * u_th / (params.phi * n) + 0.5 * params.delta_s * (n - 1.0) * (
-        n - 2.0
-    ) / n
+    # u_th / phi first: phi * n could overflow the float range.
+    return (n - 1.0) / n * (u_th / params.phi) + 0.5 * params.delta_s * (n - 1.0) * (n - 2.0) / n
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,17 @@ Three families of checks, none of which share algebra with the closed
 forms they test:
 
 * exact reachable sets of the sweep protocol -- every user starting in
-  the trigger interval must be caught by some beam during that beam's own
-  microslot whatever its speed in ``[-phi/2, phi/2]`` (full coverage), and
-  the post-sweep position must fall in a window of width ``u_comm``
-  regardless of which beam won. The positions a user can hold are tracked
-  as unions of intervals at the sampled instants of each microslot, so
-  every speed sequence at that time resolution is checked at once;
+  the trigger interval must be caught by some beam whatever its speed in
+  ``[-phi/2, phi/2]`` (full coverage), and the post-sweep position must
+  fall in a window of width ``u_comm`` regardless of which beam won. A
+  beam detects at one instant, the start of its microslot, so a user
+  moves by at most ``r = delta_s*phi/2`` between two detections. Only the
+  paper's abstract is at hand, but the sweep geometry implies this model:
+  consecutive scan intervals back off by exactly ``r``, and ``u_comm`` is
+  the same for every beam only if the users of beam ``k`` (from 0) drift
+  for exactly ``n - k`` microslots, from the start of slot ``k`` to the
+  end of the sweep. The positions a user can hold are tracked as unions
+  of intervals, so every speed sequence is checked at once;
 * composite Gauss-Legendre quadrature of the defining rate/power
   integrals, with the panel count doubled until two estimates agree,
   against the closed forms. The integrals run over the sweep geometry
@@ -19,8 +24,7 @@ forms they test:
   the water-filling power reaches zero, so the integrand is smooth there
   and a few panels suffice; an integral that does not converge is a failed
   case. At the other defaults the suite passes for ``phi`` from 1e-300 to
-  1e300; at 1.7e308 ``cycle_duration`` overflows, and at 1e-310 the
-  quadrature does not converge;
+  1.7e308;
 * the first-order (KKT) optimality conditions of the water-filling
   profile on a time grid over the data phase, which prove that no
   profile of equal average power on that grid has a higher average rate.
@@ -55,11 +59,6 @@ from .sweep import (
     trigger_width_branches,
 )
 
-# Sampled instants per microslot. A user's speed is constant between
-# instants, anywhere in [-phi/2, phi/2], so between two instants it moves
-# by at most phi/2 * delta_s / RESOLUTION either way.
-RESOLUTION = 100
-
 # Scan-interval membership slack relative to u_th, covering the rounding of
 # the interval ends.
 _MEMBERSHIP_SLACK = 1e-9
@@ -86,43 +85,40 @@ def _reachable(
     """Where the sweep can leave a user, over every speed sequence at once.
 
     The positions of users not yet detected are kept as sorted disjoint
-    intervals, from ``[0, u_th]`` at the start. At each sampled instant of
-    beam ``k``'s microslot the set first grows by one step of drift (not at
-    the slot's first instant: slot boundaries belong to both adjacent
-    slots), then loses its part inside scan interval ``k``: those users are
-    detected by beam ``k``. That part's hull, widened by the drift still to
-    come, bounds where they end the sweep.
+    intervals, from ``[0, u_th]`` at the start. Between two slot starts the
+    set grows by one microslot's drift; at the start of beam ``k``'s slot
+    it loses its part inside scan interval ``k``: those users are detected
+    by beam ``k``. That part's hull, widened by the ``n - k`` microslots of
+    drift still to come, bounds where they end the sweep.
 
-    Returns the undetected set at the end of the sweep, and each beam's
-    ``(lo, hi)`` hull of final positions (``(inf, -inf)`` if it detects no
-    one).
+    Returns the set where undetected users can end the sweep, and each
+    beam's ``(lo, hi)`` hull of final positions (``(inf, -inf)`` if it
+    detects no one).
     """
-    r = 0.5 * params.phi * params.delta_s / RESOLUTION
+    r = 0.5 * params.phi * params.delta_s
     slack = _MEMBERSHIP_SLACK * schedule.u_th
-    n_steps = schedule.n_beams * RESOLUTION
     undetected = [(0.0, schedule.u_th)]
     hulls = []
     for k, (a, b) in enumerate(schedule.intervals):
+        if k:
+            undetected = _dilate(undetected, r)
         lo_win, hi_win = a - slack, b + slack
+        drift = (schedule.n_beams - k) * r
         lo_hull, hi_hull = math.inf, -math.inf
-        for j in range(RESOLUTION + 1):
-            if j:
-                undetected = _dilate(undetected, r)
-            drift = (n_steps - k * RESOLUTION - j) * r
-            kept = []
-            for lo, hi in undetected:
-                if hi < lo_win or lo > hi_win:
-                    kept.append((lo, hi))
-                    continue
-                lo_hull = min(lo_hull, max(lo, lo_win) - drift)
-                hi_hull = max(hi_hull, min(hi, hi_win) + drift)
-                if lo < lo_win:
-                    kept.append((lo, lo_win))
-                if hi > hi_win:
-                    kept.append((hi_win, hi))
-            undetected = kept
+        kept = []
+        for lo, hi in undetected:
+            if hi < lo_win or lo > hi_win:
+                kept.append((lo, hi))
+                continue
+            lo_hull = min(lo_hull, max(lo, lo_win) - drift)
+            hi_hull = max(hi_hull, min(hi, hi_win) + drift)
+            if lo < lo_win:
+                kept.append((lo, lo_win))
+            if hi > hi_win:
+                kept.append((hi_win, hi))
+        undetected = kept
         hulls.append((lo_hull, hi_hull))
-    return undetected, hulls
+    return _dilate(undetected, r), hulls
 
 
 # ---------------------------------------------------------------------------

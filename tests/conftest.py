@@ -106,10 +106,10 @@ class Mutant(NamedTuple):
 
 SUITE_MUTANTS = {
     "no-backoff": Mutant(
-        "validation.build_schedule", _no_backoff, coverage_suite, "sweep_coverage", 1
+        "validation.build_schedule", _no_backoff, coverage_suite, "sweep_coverage", 3
     ),
     "narrow-window": Mutant(
-        "validation.build_schedule", _narrow_window, coverage_suite, "post_sweep_width", 7
+        "validation.build_schedule", _narrow_window, coverage_suite, "post_sweep_width", 10
     ),
     "rate-slope": Mutant(
         "validation.rate_slope",

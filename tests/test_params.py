@@ -20,7 +20,10 @@ class TestSystemParams:
             with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
                 make_params(**{field: value})
 
-    @pytest.mark.parametrize("overrides", [{"phi": 5e-324}, {"delta_s": 1e300, "phi": 1e300}])
+    # Zero, infinite and subnormal drifts.
+    @pytest.mark.parametrize(
+        "overrides", [{"phi": 5e-324}, {"delta_s": 1e300, "phi": 1e300}, {"phi": 1e-310}]
+    )
     def test_drift_step_in_float_range(self, overrides):
         with pytest.raises(ValueError, match=r"delta_s \* phi must be positive and finite"):
             make_params(**overrides)
