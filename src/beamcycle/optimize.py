@@ -213,9 +213,9 @@ def _rate_bound(n_beams: int, p_hat_max: float) -> float:
     ``lo(n) = max(nonneg(n), shrink(n) * (1 + _BRACKET_EPS))``, the two
     ``trigger_width_branches``. Why it holds, and why a scan may stop at it:
 
-    (a) The rate is below the bound: ``norm_rate <= 1 + log1p(zeta*)``,
-        because ``pref * (upsilon - u_hat) <= 1`` for ``n >= 2``, the term
-        ``-u_hat * ln(upsilon / u_hat)`` is ``<= 0``, and ``zeta* >= 0``.
+    (a) The rate is below the bound: ``norm_rate <= 1 + log1p(zeta*)``, as
+        ``u_hat * g(e) = m - u_hat - u_hat * log1p(e) <= m - u_hat <= upsilon - u_hat``
+        (``log1p(e) >= 0``), ``zeta* >= 0`` and ``pref * (upsilon - u_hat) <= 1``.
     (b) ``tight_zeta`` falls in ``upsilon``: with ``a = upsilon - u_hat``
         and ``w = upsilon + n/2 - 1`` it is
         ``(n-1) * w * p_hat / (n * upsilon * a) - a / (2 * upsilon)``, and

@@ -10,10 +10,11 @@ The normalization
     zeta    = d*gamma*rho / (delta_s*phi*upsilon) - 1   (water-level headroom)
 removes every system constant from the design problem: the normalized rate
 ``norm_rate`` and power ``norm_power`` depend on (n_beams, upsilon, zeta)
-only. They are the one statement of each closed form: the physical
-``avg_rate_closed`` and ``avg_power_closed`` validate a design, normalize
-it and scale these back. The formulas are thus free of the physical scale:
-``phi`` from 1e-300 to 1e300 leaves their arithmetic in the float range.
+only. Each is one branch-free integral over the active data phase, from u_hat
+to m = min(upsilon, X), X = upsilon*(1+zeta) the water level; it is the one
+statement of that closed form. The physical ``avg_rate_closed`` and
+``avg_power_closed`` validate a design, normalize it and scale these back, so
+``phi`` from 1e-300 to 1e300 leaves the formulas' arithmetic in the float range.
 """
 
 from __future__ import annotations
@@ -111,28 +112,24 @@ def _check_normalized(n_beams: int, upsilon: float, zeta: float) -> float:
 
 
 def norm_rate(n_beams: int, upsilon: float, zeta: float) -> float:
-    """Normalized average rate: ln(2)/w_tot times the physical one."""
+    """Normalized average rate, ln(2)/w_tot times the physical one:
+    pref * integral of ln(X/u) over [u_hat, m], m = min(upsilon, X)."""
     u_hat = _check_normalized(n_beams, upsilon, zeta)
-    n = float(n_beams)
-    pref = n / ((n - 1.0) * (upsilon + n / 2.0 - 1.0))
-    value = (upsilon - u_hat) * (1.0 + math.log1p(zeta)) - u_hat * math.log(
-        upsilon / u_hat
-    )
-    if zeta < 0.0:
-        # Idle tail of the data phase: water level below u_th.
-        value += upsilon * (zeta - math.log1p(zeta))
-    return pref * value
+    pref = n_beams / ((n_beams - 1.0) * (upsilon + n_beams / 2.0 - 1.0))
+    idle = 0.5 * (zeta - abs(zeta))  # min(zeta, 0), exactly, without a builtin call
+    m = upsilon * (1.0 + idle)
+    e = (m - u_hat) / u_hat  # u_hat * (e - log1p(e)) is the integral up to m of ln(m/u)
+    return pref * (u_hat * (e - math.log1p(e)) + (m - u_hat) * math.log1p(zeta - idle))
 
 
 def norm_power(n_beams: int, upsilon: float, zeta: float) -> float:
-    """Normalized average power: d*gamma/(delta_s*phi) times the physical one."""
+    """Normalized average power, d*gamma/(delta_s*phi) times the physical one:
+    pref * integral of 2 (X - u) over [u_hat, m], m = min(upsilon, X)."""
     u_hat = _check_normalized(n_beams, upsilon, zeta)
-    n = n_beams
-    pref = n / (2.0 * (n - 1.0) * (upsilon + n / 2.0 - 1.0))
-    value = (upsilon - u_hat) * (2.0 * upsilon * (1.0 + zeta) - upsilon - u_hat)
-    # Idle tail of the data phase: a term only below zero headroom.
-    value = value + upsilon**2 * min(zeta, 0.0) ** 2
-    return pref * value
+    pref = n_beams / (2.0 * (n_beams - 1.0) * (upsilon + n_beams / 2.0 - 1.0))
+    x = upsilon * (1.0 + zeta)
+    m = upsilon * (1.0 + 0.5 * (zeta - abs(zeta)))  # min(upsilon, x), as in norm_rate
+    return pref * ((m - u_hat) * (2.0 * x - m - u_hat))
 
 
 def norm_power_budget(params: SystemParams) -> float:

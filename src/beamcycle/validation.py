@@ -324,8 +324,8 @@ def quadrature_suite(
 ) -> list[CheckResult]:
     """Closed forms vs quadrature over random feasible designs.
 
-    Alternating tuples place the water level inside and above the cycle's
-    width range so both branches of the closed forms are exercised.
+    Alternating tuples exercise both regimes: water level inside and above
+    the cycle's width range.
     ``perturb_closed_form`` injects a relative error into the closed-form
     values (fault-injection self-test of this suite).
     """

@@ -1,5 +1,5 @@
-import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
 import pytest
@@ -8,7 +8,7 @@ from beamcycle import (
     SystemParams,
     build_schedule,
     coverage_suite,
-    norm_power,
+    norm_comm_width,
     norm_rate,
     quadrature_suite,
     rate_slope,
@@ -38,6 +38,27 @@ def make_params(**overrides) -> SystemParams:
 @pytest.fixture
 def params() -> SystemParams:
     return make_params()
+
+
+def exact_closed_forms(n_beams, upsilon, zeta):
+    """(norm_rate, norm_power, m - u_hat) at 60 decimal digits.
+
+    The textbook two-branch forms, each with its idle-tail term below zero
+    headroom, evaluated on the exact values of the float inputs; m =
+    min(upsilon, upsilon*(1+zeta)) ends the active data phase.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        n, ups, z = Decimal(n_beams), Decimal(upsilon), Decimal(zeta)
+        u_hat = ups / n + n / 2 + Decimal("1.5") - 1 / n
+        pref = n / ((n - 1) * (ups + n / 2 - 1))
+        log1p_z = (1 + z).ln()
+        rate = (ups - u_hat) * (1 + log1p_z) - u_hat * (ups / u_hat).ln()
+        power = (ups - u_hat) * (2 * ups * (1 + z) - ups - u_hat)
+        if z < 0:
+            rate += ups * (z - log1p_z)
+            power += (ups * z) ** 2
+        return pref * rate, pref / 2 * power, min(ups, ups * (1 + z)) - u_hat
 
 
 def _no_backoff(params, u_th, n_beams):
@@ -81,17 +102,15 @@ def _pref(n_beams, upsilon):
 
 
 def _norm_rate_no_tail(n_beams, upsilon, zeta):
-    """norm_rate without its idle-tail term upsilon * (zeta - log1p(zeta)) below zero headroom."""
-    z = min(zeta, 0.0)
-    return norm_rate(n_beams, upsilon, zeta) - _pref(n_beams, upsilon) * upsilon * (
-        z - math.log1p(z)
-    )
+    """norm_rate with m = upsilon: the data phase runs on past a water level below u_th."""
+    return norm_rate(n_beams, upsilon, max(zeta, 0.0))
 
 
 def _norm_power_no_tail(n_beams, upsilon, zeta):
-    """norm_power without its idle-tail term (upsilon * zeta)^2 below zero headroom."""
-    tail = upsilon**2 * min(zeta, 0.0) ** 2
-    return norm_power(n_beams, upsilon, zeta) - 0.5 * _pref(n_beams, upsilon) * tail
+    """norm_power with m = upsilon: the data phase runs on past a water level below u_th."""
+    x = upsilon * (1.0 + zeta)
+    u_hat = norm_comm_width(upsilon, n_beams)
+    return 0.5 * _pref(n_beams, upsilon) * (upsilon - u_hat) * (2.0 * x - upsilon - u_hat)
 
 
 class Mutant(NamedTuple):

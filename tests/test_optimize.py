@@ -30,7 +30,7 @@ from beamcycle.optimize import (
 )
 from beamcycle.sweep import trigger_width_branches
 
-from conftest import make_params
+from conftest import exact_closed_forms, make_params
 
 
 class TestBounds:
@@ -330,6 +330,39 @@ class TestOptimizeDesign:
         # at 1e-4 W and 8427 at 1 W; the pruned scan bisects 16 to 25.
         design = optimize_design(make_params(p_max=p_max))
         assert len(design.per_beam_count) <= 40
+
+    @pytest.mark.parametrize("p_max,ceiling", [(1e-4, 700), (1.0, 1400)])
+    def test_rate_slope_calls_per_design(self, monkeypatch, p_max, ceiling):
+        # A noise-free work ceiling on the closed forms and the scan, where
+        # wall-clock time moves 15-40% between runs: 690 calls at 1e-4 W and
+        # 1364 at 1 W.
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return rate_slope(*args)
+
+        monkeypatch.setattr(beamcycle.optimize, "rate_slope", counted)
+        optimize_design(make_params(p_max=p_max))
+        assert 0 < calls <= ceiling
+
+    @pytest.mark.parametrize(
+        "p_max,phi",
+        [(1.037e-17, 2 * 45.28), (3.246414854069736e-17, 2 * 28.908198750950504)],
+    )
+    def test_picks_the_exactly_best_count_at_tiny_budgets(self, p_max, phi):
+        # Rates of 2 and 3 beams differ in the eighth digit here (0.1031938141
+        # against 0.1031938191 bit/s at the first point), so a rate that loses
+        # digits to cancellation near the zero-power boundary can pick either.
+        params = make_params(p_max=p_max, phi=phi)
+        design = optimize_design(params)
+        budget = norm_power_budget(params)
+        exact = {
+            n: exact_closed_forms(n, ups, tight_zeta(ups, n, budget))[0]
+            for n, ups, _ in design.per_beam_count
+        }
+        assert design.n_beams == max(exact, key=exact.get)
 
 
 class TestRateBound:

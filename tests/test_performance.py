@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beamcycle import (
@@ -13,6 +13,7 @@ from beamcycle import (
     cycle_duration,
     denormalize,
     min_u_th,
+    min_upsilon,
     norm_comm_width,
     norm_power,
     norm_power_budget,
@@ -22,7 +23,9 @@ from beamcycle import (
 )
 from beamcycle.performance import LN2
 
-from conftest import make_params
+from conftest import exact_closed_forms, make_params
+
+EPS = 2.0**-52
 
 
 class TestWaterfilling:
@@ -169,6 +172,35 @@ class TestNormalizedForms:
         with pytest.raises(ValueError, match="zero-power"):
             norm_rate(2, 8.0, zeta - 1e-3)
 
+    @given(
+        n=st.integers(2, 12),
+        log_spread=st.floats(0.0, 3.0),
+        mode=st.sampled_from(["boundary", "log-uniform", "idle-tail"]),
+        t=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accurate_to_the_conditioning_of_the_inputs(self, n, log_spread, t, mode):
+        # Rounding the inputs alone moves each quantity by up to eps * kappa
+        # relative, kappa = 1 + upsilon (1 + |zeta|) / |m - u_hat|; the forms
+        # must stay within a small multiple of that, also within 1e-9 of
+        # the zero-power boundary, where a difference of large terms cannot.
+        ups = min_upsilon(n) * 10.0**log_spread
+        zmin = norm_comm_width(ups, n) / ups - 1.0
+        if mode == "boundary":  # water level (1 + 1e-9..2) * u_hat
+            zeta = zmin + 10.0 ** (-9.0 * t) * (1.0 + zmin)
+        elif mode == "log-uniform":
+            zeta = 10.0 ** (-12.0 + 15.0 * t)
+        else:
+            zeta = zmin * t
+        rate, power, active = exact_closed_forms(n, ups, zeta)
+        # Where the inputs fix fewer than three digits, second-order rounding
+        # of the inputs outgrows the first-order kappa.
+        assume(active != 0)
+        kappa = 1.0 + ups * (1.0 + abs(zeta)) / abs(float(active))
+        assume(kappa * EPS < 1e-3)
+        for got, exact in ((norm_rate(n, ups, zeta), rate), (norm_power(n, ups, zeta), power)):
+            assert abs(got - float(exact)) <= 16.0 * EPS * kappa * abs(float(exact))
+
 
 def _normalize(params, u_th, rho):
     """The normalization's definitions (module docstring), inverse of denormalize."""
@@ -221,8 +253,6 @@ class TestScaleInvariance:
         rng = np.random.default_rng(20240817)
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            from beamcycle import min_upsilon
-
             ups = float(rng.uniform(min_upsilon(n) * 1.01, 500.0))
             zmin = norm_comm_width(ups, n) / ups - 1.0
             if rng.random() < 0.3 and zmin < -0.05:
