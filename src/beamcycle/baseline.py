@@ -10,19 +10,25 @@ and the constant transmit power enter the resulting rate/power formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .params import SystemParams, snr_gamma
 from .performance import LN2
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    beamwidth_deg: float = 7.0  # fixed scan/communication beamwidth, degrees
-    v_max: float = 20.0         # worst-case speed magnitude, m/s
-    p_t: float = 1.0            # constant transmit power while communicating
+class BaselineConfig(
+    namedtuple("BaselineConfig", "beamwidth_deg v_max p_t", defaults=(7.0, 20.0, 1.0))
+):
+    """The fixed scan/communication beamwidth in degrees, the worst-case
+    speed magnitude in m/s, and the constant transmit power while
+    communicating. As for SystemParams, the constructor and ``_replace``
+    raise ValueError for a nonsense value.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Written so that NaN fails every check.
         if not 0.0 < self.beamwidth_deg < 180.0:
             raise ValueError(f"beamwidth_deg must be in (0, 180), got {self.beamwidth_deg!r}")
@@ -30,6 +36,10 @@ class BaselineConfig:
             raise ValueError(f"v_max must be positive and finite, got {self.v_max!r}")
         if not 0.0 <= self.p_t < math.inf:
             raise ValueError(f"p_t must be nonnegative and finite, got {self.p_t!r}")
+        return self
+
+    # namedtuple's _replace builds its result with _make, so it checks too.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def comm_fraction(params: SystemParams, cfg: BaselineConfig) -> float:

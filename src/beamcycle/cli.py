@@ -15,10 +15,9 @@ strictly increase), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 
 from . import __version__
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power
@@ -62,17 +61,16 @@ def dbm_per_hz_to_w_per_hz(n0_dbm: float) -> float:
         raise ValueError(f"n0 = {n0_dbm!r} dBm/Hz is past the float range in W/Hz") from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one CLI invocation needs."""
+class RunConfig(
+    namedtuple("RunConfig", "params sweep_axis axis_values beamwidth_deg p_t output_path seed")
+):
+    """Everything one CLI invocation needs.
 
-    params: SystemParams
-    sweep_axis: str                  # "power" or "speed"
-    axis_values: tuple[float, ...]
-    beamwidth_deg: float             # the fixed-beam baseline's beam
-    p_t: float | None                # its transmit power; None matches the budget
-    output_path: str | None
-    seed: int
+    ``beamwidth_deg`` and ``p_t`` set the fixed-beam baseline; a ``p_t``
+    of None matches the budget, and an ``output_path`` of None is stdout.
+    """
+
+    __slots__ = ()
 
 
 def _parse_config_file(path: str) -> dict:
@@ -180,6 +178,9 @@ def _write_text(path: str | None, text: str) -> None:
 def _emit(config: RunConfig, record: dict, as_json: bool) -> int:
     """Print one record as text or JSON, and as a one-row CSV with --out."""
     if as_json:
+        # Imported here so that only --json output loads json.
+        import json
+
         print(json.dumps(record, indent=2))
     else:
         for key, value in record.items():
@@ -221,14 +222,14 @@ def cmd_optimize(config: RunConfig, as_json: bool) -> int:
 def _matched_baseline(params: SystemParams, beamwidth_deg: float) -> BaselineConfig:
     """The fixed-beam scheme at ``params``' speed, spending its average power budget."""
     cfg = BaselineConfig(beamwidth_deg=beamwidth_deg, v_max=params.phi / 2.0)
-    return replace(cfg, p_t=power_for_avg(params, cfg, params.p_max))
+    return cfg._replace(p_t=power_for_avg(params, cfg, params.p_max))
 
 
 def _sweep_point(config: RunConfig, value: float) -> dict:
     if config.sweep_axis == "power":
-        point_params = replace(config.params, p_max=value)
+        point_params = config.params._replace(p_max=value)
     else:
-        point_params = replace(config.params, phi=2.0 * value)
+        point_params = config.params._replace(phi=2.0 * value)
     design = optimize_design(point_params)
     rate_11ad, _ = rate_and_power(
         point_params, _matched_baseline(point_params, config.beamwidth_deg)
@@ -278,7 +279,7 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     results = run_all(
         config.params, seed=config.seed, perturb_closed_form=args.perturb_closed_form
     )
-    _write_text(config.output_path, _csv([asdict(r) for r in results]))
+    _write_text(config.output_path, _csv([r._asdict() for r in results]))
     return 0 if all(r.passed for r in results) else 1
 
 

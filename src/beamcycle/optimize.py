@@ -20,7 +20,7 @@ on scalars would dominate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FeasibilityError
 from .params import SystemParams
@@ -239,23 +239,19 @@ def _rate_bound(n_beams: int, p_hat_max: float) -> float:
     return 1.0 + math.log1p(tight_zeta(lo, n_beams, p_hat_max))
 
 
-@dataclass(frozen=True)
-class OptimalDesign:
+class OptimalDesign(
+    namedtuple("OptimalDesign", "n_beams upsilon zeta u_th rho avg_rate avg_power per_beam_count")
+):
     """Global optimum with both normalized and physical coordinates.
 
-    ``per_beam_count`` lists the beam counts the scan bisected, in order;
-    the counts after the last one up to ``max_beams`` were pruned by
-    ``_rate_bound``. It is empty for the zero-rate design.
+    ``u_th`` is in m, ``rho`` in power units and ``avg_rate`` in bit/s.
+    ``per_beam_count`` lists ``(n, upsilon*, norm_rate)`` for the beam
+    counts the scan bisected, in order; the counts after the last one up
+    to ``max_beams`` were pruned by ``_rate_bound``. It is empty for the
+    zero-rate design.
     """
 
-    n_beams: int
-    upsilon: float
-    zeta: float
-    u_th: float      # m
-    rho: float       # power units
-    avg_rate: float  # bit/s
-    avg_power: float
-    per_beam_count: tuple[tuple[int, float, float], ...]  # (n, upsilon*, norm_rate)
+    __slots__ = ()
 
 
 def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:

@@ -11,39 +11,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "w_tot wavelength n0 delta_s d xi phi p_max")):
     """Scenario constants shared by every cycle computation.
 
-    Speed enters only as the uncertainty ``phi``: the BS steers out the
+    Fields: bandwidth ``w_tot`` (Hz), carrier ``wavelength`` (m), noise
+    power spectral density ``n0`` (W/Hz), microslot duration ``delta_s``
+    (s), BS-MU distance ``d`` (m), antenna efficiency ``xi`` in (0, 1],
+    speed uncertainty ``phi = v_max - v_min`` (m/s) and average power
+    budget ``p_max``. Speed enters only as ``phi``: the BS steers out the
     user's mean speed, so the cycle math sees symmetric speeds in
     [-phi/2, phi/2].
+
+    A named tuple: immutable, compared and hashed as a plain tuple of the
+    eight values. The constructor and ``_replace`` raise ValueError for
+    constants outside the accepted domain.
     """
 
-    w_tot: float          # bandwidth, Hz
-    wavelength: float     # carrier wavelength, m
-    n0: float             # noise power spectral density, W/Hz
-    delta_s: float        # microslot duration, s
-    d: float              # BS-MU distance, m
-    xi: float             # antenna efficiency, in (0, 1]
-    phi: float            # speed uncertainty v_max - v_min, m/s
-    p_max: float          # average power budget
+    __slots__ = ()
 
-    def __post_init__(self):
-        positive = {
-            "w_tot": self.w_tot,
-            "wavelength": self.wavelength,
-            "n0": self.n0,
-            "delta_s": self.delta_s,
-            "d": self.d,
-            "xi": self.xi,
-            "phi": self.phi,
-            "p_max": self.p_max,
-        }
-        for name, value in positive.items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not value > 0.0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         # The cycle math divides by the drift per microslot, a normal float.
@@ -62,6 +53,10 @@ class SystemParams:
             gamma = math.nan
         if not 0.0 < gamma < math.inf:
             raise ValueError(f"the SNR factor gamma must be positive and finite, got {gamma!r}")
+        return self
+
+    # namedtuple's _replace builds its result with _make, so it checks too.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def snr_gamma(params: SystemParams) -> float:

@@ -15,7 +15,7 @@ of its microslot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FeasibilityError
 from .params import SystemParams
@@ -59,21 +59,19 @@ def cycle_duration(params: SystemParams, u_th: float, n_beams: int) -> float:
     return (n - 1.0) / n * (u_th / params.phi) + 0.5 * params.delta_s * (n - 1.0) * (n - 2.0) / n
 
 
-@dataclass(frozen=True)
-class SweepSchedule:
+class SweepSchedule(
+    namedtuple("SweepSchedule", "n_beams u_th beamwidths intervals u_comm t_cycle")
+):
     """One sweep's beams, scan intervals, and the resulting cycle timing.
 
-    ``intervals[i]`` is the position interval (m) scanned during microslot
-    i+1 in the local frame; consecutive intervals overlap by the
-    delta_s*phi/2 mobility back-off.
+    ``u_th`` is the sweep-trigger width (m), ``beamwidths`` the beams' widths
+    (rad, an arithmetic progression), ``u_comm`` the post-sweep width (m)
+    and ``t_cycle`` the cycle duration (s). ``intervals[i]`` is the position
+    interval ``(a, b)`` (m) scanned during microslot i+1 in the local frame;
+    consecutive intervals overlap by the delta_s*phi/2 mobility back-off.
     """
 
-    n_beams: int
-    u_th: float                               # sweep-trigger width, m
-    beamwidths: tuple[float, ...]             # rad, arithmetic progression
-    intervals: tuple[tuple[float, float], ...]  # scanned [a_i, b_i], m
-    u_comm: float                             # post-sweep width, m
-    t_cycle: float                            # cycle duration, s
+    __slots__ = ()
 
 
 def build_schedule(params: SystemParams, u_th: float, n_beams: int) -> SweepSchedule:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
@@ -68,13 +67,13 @@ def _no_backoff(params, u_th, n_beams):
     intervals = tuple(
         (a + i * half_step, b + i * half_step) for i, (a, b) in enumerate(schedule.intervals)
     )
-    return replace(schedule, intervals=intervals)
+    return schedule._replace(intervals=intervals)
 
 
 def _narrow_window(params, u_th, n_beams):
     """A post-sweep window 10% narrower than u_comm."""
     schedule = build_schedule(params, u_th, n_beams)
-    return replace(schedule, u_comm=0.9 * schedule.u_comm)
+    return schedule._replace(u_comm=0.9 * schedule.u_comm)
 
 
 def _rate_slope_flipped(upsilon, n_beams, p_hat_max):

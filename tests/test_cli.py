@@ -4,6 +4,7 @@ import io
 import json
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,20 @@ class TestVerify:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert len(rows) == 7
         assert all(int(cases) > 0 and failures == "0" for _, cases, failures, _ in rows)
+
+    def test_quadrature_past_the_float_range_is_quiet(self, capsys, tmp_path):
+        # The quadrature suite's own design widths overflow here. Its cases
+        # count that as failures, which exit 1 for now, and numpy must not
+        # also warn about them on stderr.
+        cfg = tmp_path / "slow-slots.cfg"
+        cfg.write_text("delta_s = 1e-2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--phi", "1.7e308")
+        assert code in (0, 1)
+        assert err == ""
+        rows = {line.split(",")[0]: line.split(",")[1] for line in out.splitlines()[1:]}
+        assert rows["closed_vs_numeric_rate"] == rows["closed_vs_numeric_power"] == "200"
 
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "-1")

@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from beamcycle import snr_gamma
+from beamcycle import (
+    BaselineConfig,
+    CheckResult,
+    build_schedule,
+    optimize_design,
+    snr_gamma,
+)
+from beamcycle.cli import RunConfig, main
 
 from conftest import make_params
 
@@ -51,3 +58,40 @@ class TestSnrGamma:
         assert snr_gamma(make_params(xi=0.5)) == pytest.approx(
             snr_gamma(params) / 2.0, rel=1e-15
         )
+
+
+class TestRecords:
+    """The public records are named tuples, and the two with a domain check it."""
+
+    def test_replace_runs_the_constructor_checks(self, params, capsys):
+        with pytest.raises(ValueError, match="p_max must be positive and finite"):
+            params._replace(p_max=-1.0)
+        with pytest.raises(ValueError, match="p_t must be nonnegative and finite"):
+            BaselineConfig()._replace(p_t=math.nan)
+        assert params._replace(p_max=2e-3) == make_params(p_max=2e-3)
+        assert BaselineConfig()._replace(v_max=35.0) == BaselineConfig(v_max=35.0)
+        # The CLI sweep builds each point with _replace, so a subnormal drift
+        # per microslot is invalid input there too.
+        assert main(["sweep", "--axis", "speed", "--values", "5e-324"]) == 2
+        assert "delta_s * phi must be positive" in capsys.readouterr().err
+
+    def test_immutable_tuples_with_a_keyword_repr(self, params):
+        records = [
+            params,
+            BaselineConfig(),
+            optimize_design(params),
+            build_schedule(params, 0.01, 3),
+            CheckResult("check", 1, 0, 0.0),
+            RunConfig(params, "power", (1e-3,), 7.0, None, None, 0),
+        ]
+        for record in records:
+            name = type(record).__name__
+            assert isinstance(record, tuple) and len(record) == len(record._fields), name
+            fields = ", ".join(f"{f}={v!r}" for f, v in record._asdict().items())
+            assert repr(record) == f"{name}({fields})"
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            with pytest.raises(AttributeError):
+                record.extra = None
+        assert repr(BaselineConfig()) == "BaselineConfig(beamwidth_deg=7.0, v_max=20.0, p_t=1.0)"
+        assert BaselineConfig() == (7.0, 20.0, 1.0)
