@@ -34,7 +34,6 @@ from .performance import (
     norm_power,
     norm_power_budget,
     norm_rate,
-    waterfilling_power,
 )
 from .sweep import (
     SweepSchedule,
@@ -86,7 +85,6 @@ __all__ = [
     "snr_gamma",
     "tight_zeta",
     "validate_small_angle",
-    "waterfilling_power",
 ]
 
 

@@ -15,6 +15,7 @@ strictly increase), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -304,6 +305,8 @@ def cmd_baseline(config: RunConfig, as_json: bool) -> int:
     return _emit(config, record, as_json)
 
 
+# Parsing leaves the tree as it was, so a process builds it once.
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     # Each flag's dest is the config key it overrides.
     shared = argparse.ArgumentParser(add_help=False)

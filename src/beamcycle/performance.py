@@ -33,13 +33,6 @@ LN2 = math.log(2.0)
 _EPS = 1e-9
 
 
-def waterfilling_power(rho: float, u_t: float, d: float, gamma: float) -> float:
-    """Water-filling power at uncertainty width ``u_t``: (rho - u_t/(d*gamma))+."""
-    if min(rho, u_t, d, gamma) < 0.0:
-        raise ValueError("waterfilling_power arguments must be nonnegative")
-    return max(0.0, rho - u_t / (d * gamma))
-
-
 def _check_cycle_inputs(
     params: SystemParams, n_beams: int, u_th: float, rho: float
 ) -> tuple[float, float]:

@@ -16,8 +16,9 @@ forms they test:
   end of the sweep. The positions a user can hold are tracked as unions
   of intervals, so every speed sequence is checked at once;
 * composite Gauss-Legendre quadrature of the defining rate/power
-  integrals, with the panel count doubled until two estimates agree,
-  against the closed forms. The integrals run over the sweep geometry
+  integrals against the closed forms, one array pass per panel count over
+  all designs, with the panel count doubled until two estimates agree and
+  a design leaving once they do. The integrals run over the sweep geometry
   (``comm_width``, ``cycle_duration``) in physical units, while the
   closed forms are ``norm_rate``/``norm_power`` scaled back, so the oracle
   tests the formulas the optimizer uses. The integration range stops where
@@ -48,7 +49,6 @@ from .performance import (
     avg_rate_closed,
     norm_comm_width,
     norm_rate,
-    waterfilling_power,
 )
 from .sweep import (
     SweepSchedule,
@@ -63,9 +63,11 @@ from .sweep import (
 # the interval ends.
 _MEMBERSHIP_SLACK = 1e-9
 
-# Points per panel of the quadrature oracle, and its panel-count cap.
+# Points per panel of the quadrature oracle, its panel-count cap, and the
+# most points one integrand pass takes, which bounds the pass's memory.
 GAUSS_NODES = 48
 _MAX_PANELS = 2**10
+_PASS_POINTS = 2**16
 
 
 def _dilate(intervals: list[tuple[float, float]], r: float) -> list[tuple[float, float]]:
@@ -176,68 +178,82 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _gauss_panels(f, a: float, b: float, rel_tol: float) -> float:
-    """Composite Gauss-Legendre quadrature with panel doubling.
+def _gauss_panels(f, a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Composite Gauss-Legendre quadrature with panel doubling, all rows at once.
 
-    Starts from one panel and doubles the panel count until two successive
-    estimates agree to ``rel_tol``; the returned value is the finer one, or
-    NaN if they still disagree at ``_MAX_PANELS`` panels.
+    Row ``i`` integrates over ``[a[i], b[i]]``; ``f(x, rows)`` is the listed
+    rows' integrand at ``x`` of shape (rows, panels, GAUSS_NODES). A row
+    doubles its panel count from one until two estimates agree to
+    ``rel_tol`` and leaves with the finer one, the same bits in any batch;
+    it is NaN if they still disagree at ``_MAX_PANELS`` panels, 0 if b <= a.
     """
-    if b <= a:
-        return 0.0
     nodes, weights = _gauss_legendre()
-    prev = math.nan  # compares false, so one panel alone never stops the loop
+    out = np.where(b <= a, 0.0, math.nan)
+    rows = np.flatnonzero(~(b <= a))
+    prev = np.full(rows.size, math.nan)  # compares false, so one panel never stops a row
     panels = 1
-    while panels <= _MAX_PANELS:
-        h = (b - a) / panels
-        x = a + h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))
-        cur = 0.5 * h * float(np.sum(f(x) @ weights))
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
+    while rows.size and panels <= _MAX_PANELS:
+        offsets = np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)
+        per_pass = max(1, _PASS_POINTS // offsets.size)
+        cur = np.empty(rows.size)
+        for i in range(0, rows.size, per_pass):
+            part = rows[i:i + per_pass]
+            h = (b[part] - a[part]) / panels
+            x = a[part, None, None] + h[:, None, None] * offsets
+            cur[i:i + per_pass] = 0.5 * h * np.sum(f(x, part) @ weights, axis=1)
+        done = np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
         panels *= 2
-    return math.nan
+    return out
+
+
+def _averages(
+    params: SystemParams, designs: Sequence[tuple[int, float, float]], rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle-averaged rates (bit/s) and powers of ``(n_beams, u_th, rho)`` designs.
+
+    One batched quadrature per integral over all designs; NaN where it does
+    not converge to ``rel_tol``.
+    """
+    gamma = snr_gamma(params)
+    phases = [_data_phase(params, *design)[1:] for design in designs]
+    u_c, t_cycle, t0, t_hi = np.array(phases).reshape(-1, 4).T
+    rho = np.array([design[2] for design in designs])
+
+    def profile(t, rows):
+        """Widths and powers at ``t``: the oracle's own water-filling, not ``_waterfilling``."""
+        u = u_c[rows, None, None] + params.phi * (t - t0[rows, None, None])
+        return u, np.maximum(0.0, rho[rows, None, None] - u / (params.d * gamma))
+
+    def rate(t, rows):
+        u, p = profile(t, rows)
+        return np.log2(1.0 + gamma * p / (u / params.d))
+
+    return (
+        params.w_tot / t_cycle * _gauss_panels(rate, t0, t_hi, rel_tol),
+        _gauss_panels(lambda t, rows: profile(t, rows)[1], t0, t_hi, rel_tol) / t_cycle,
+    )
 
 
 def avg_rate_numeric(
-    params: SystemParams,
-    n_beams: int,
-    u_th: float,
-    rho: float,
-    rel_tol: float = 1e-12,
+    params: SystemParams, n_beams: int, u_th: float, rho: float, rel_tol: float = 1e-12
 ) -> float:
     """Cycle-averaged rate (bit/s) by direct quadrature of the rate integral.
 
     NaN if the quadrature does not converge to ``rel_tol``.
     """
-    gamma, u_c, t_cycle, t0, t_hi = _data_phase(params, n_beams, u_th, rho)
-
-    def integrand(t):
-        u = u_c + params.phi * (t - t0)
-        p = np.maximum(0.0, rho - u / (params.d * gamma))
-        return np.log2(1.0 + gamma * p / (u / params.d))
-
-    return params.w_tot / t_cycle * _gauss_panels(integrand, t0, t_hi, rel_tol)
+    return float(_averages(params, [(n_beams, u_th, rho)], rel_tol)[0][0])
 
 
 def avg_power_numeric(
-    params: SystemParams,
-    n_beams: int,
-    u_th: float,
-    rho: float,
-    rel_tol: float = 1e-12,
+    params: SystemParams, n_beams: int, u_th: float, rho: float, rel_tol: float = 1e-12
 ) -> float:
     """Cycle-averaged power by direct quadrature of the power integral.
 
     NaN if the quadrature does not converge to ``rel_tol``.
     """
-    gamma, u_c, t_cycle, t0, t_hi = _data_phase(params, n_beams, u_th, rho)
-
-    def integrand(t):
-        u = u_c + params.phi * (t - t0)
-        return np.maximum(0.0, rho - u / (params.d * gamma))
-
-    return _gauss_panels(integrand, t0, t_hi, rel_tol) / t_cycle
+    return float(_averages(params, [(n_beams, u_th, rho)], rel_tol)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +270,11 @@ class CheckResult(namedtuple("CheckResult", "check_name n_cases n_failures worst
     def passed(self) -> bool:
         """No failures among at least one case: a check that ran nothing proves nothing."""
         return self.n_cases > 0 and self.n_failures == 0
+
+
+def _waterfilling(rho: float, u: np.ndarray, d: float, gamma: float) -> np.ndarray:
+    """Water-filling power (rho - u/(d*gamma))+ at uncertainty widths ``u``."""
+    return np.maximum(0.0, rho - u / (d * gamma))
 
 
 # Grid arithmetic past the float range (at an extreme phi, say) gives inf or
@@ -278,14 +299,14 @@ def jensen_check(
     Three fixed equal-power profiles are compared by average rate as well,
     failing if one exceeds water-filling by more than 1e-9 (in nats per
     sample): the water-filling profile itself, a constant one, and the
-    water-filling profile reversed in time. At zero power the only
-    profile is zero, so only the comparisons run.
+    water-filling profile reversed in time, each one array over the grid.
+    At zero power the only profile is zero, so only the comparisons run.
     """
     gamma, u_c, t_cycle, t0, _ = _data_phase(params, n_beams, u_th, rho)
     t = t0 + (t_cycle - t0) * (np.arange(grid_points) + 0.5) / grid_points
     u = u_c + params.phi * (t - t0)
     gain = params.d * gamma / u  # per-sample SNR factor per unit power
-    wf = np.array([waterfilling_power(rho, ui, params.d, gamma) for ui in u])
+    wf = _waterfilling(rho, u, params.d, gamma)
     budget = float(np.mean(wf))
     rate_wf = float(np.mean(np.log1p(gain * wf)))
     residuals = [
@@ -324,7 +345,8 @@ def quadrature_suite(
     """Closed forms vs quadrature over random feasible designs.
 
     Alternating tuples exercise both regimes: water level inside and above
-    the cycle's width range.
+    the cycle's width range. The rate and the power integrals are one
+    batched quadrature each over all tuples.
     ``perturb_closed_form`` injects a relative error into the closed-form
     values (fault-injection self-test of this suite).
     """
@@ -344,21 +366,20 @@ def quadrature_suite(
         tuples.append((n, u_th, level / (params.d * gamma)))
 
     results = []
-    for name, closed, numeric in (
-        ("closed_vs_numeric_rate", avg_rate_closed, avg_rate_numeric),
-        ("closed_vs_numeric_power", avg_power_closed, avg_power_numeric),
+    for name, closed, reference in zip(
+        ("closed_vs_numeric_rate", "closed_vs_numeric_power"),
+        (avg_rate_closed, avg_power_closed),
+        _averages(params, tuples, quad_tol),
     ):
-        rel = np.zeros(n_tuples)
+        value = np.empty(n_tuples)
         for j, (n, u_th, rho) in enumerate(tuples):
             try:
-                reference = numeric(params, n, u_th, rho, rel_tol=quad_tol)
-                value = closed(params, n, u_th, rho) * (1.0 + perturb_closed_form)
+                value[j] = closed(params, n, u_th, rho) * (1.0 + perturb_closed_form)
             except ArithmeticError:
                 # Arithmetic past the float range (at a huge phi, say)
                 # leaves nothing to compare: a failed case.
-                rel[j] = math.nan
-                continue
-            rel[j] = abs(value - reference) / max(abs(reference), 1e-300)
+                value[j] = math.nan
+        rel = np.abs(value - reference) / np.maximum(np.abs(reference), 1e-300)
         # A NaN residual is a failure, and np.max carries it into worst.
         failures = int(np.sum(~(rel <= rel_tol)))
         results.append(CheckResult(name, n_tuples, failures, float(np.max(rel, initial=0.0))))
@@ -427,8 +448,9 @@ def slope_sign_suite(
                 bound_fail += 1
             if not rate_slope(hi, n, budget) < 0.0:
                 bound_fail += 1
-            for _ in range(n_points):
-                ups = rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5))
+            # One draw per count gives the bits of one draw per point.
+            draws = rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5), size=n_points)
+            for ups in draws.tolist():
                 h = 1e-6 * ups
                 rp = norm_rate(n, ups + h, tight_zeta(ups + h, n, budget))
                 rm = norm_rate(n, ups - h, tight_zeta(ups - h, n, budget))
@@ -453,17 +475,9 @@ def run_all(
 ) -> list[CheckResult]:
     """Every verification suite with shared defaults; rows for the report CSV."""
     results = quadrature_suite(params, seed=seed, perturb_closed_form=perturb_closed_form)
-    step = params.delta_s * params.phi
-    gamma = snr_gamma(params)
-    u_th = 100.0 * step
-    results.append(
-        jensen_check(
-            params,
-            n_beams=2,
-            u_th=u_th,
-            rho=0.8 * u_th / (params.d * gamma),
-        )
-    )
+    u_th = 100.0 * (params.delta_s * params.phi)
+    rho = 0.8 * u_th / (params.d * snr_gamma(params))
+    results.append(jensen_check(params, n_beams=2, u_th=u_th, rho=rho))
     results.extend(coverage_suite(params))
     results.extend(slope_sign_suite(seed=seed))
     return results

@@ -337,10 +337,21 @@ class TestVerify:
         assert int(rate_row.split(",")[2]) > 0
 
     def test_unconverged_quadrature_is_a_failed_case(self, capsys, monkeypatch):
-        # The oracle returns NaN when panel doubling does not converge.
-        monkeypatch.setattr(
-            "beamcycle.validation.avg_rate_numeric", lambda *args, **kwargs: float("nan")
-        )
+        # The oracle returns NaN when panel doubling does not converge. A NaN
+        # rate integrand never converges, so every rate row of the batched
+        # quadrature runs on to the panel cap (lowered here to keep it quick)
+        # and leaves as NaN; the power rows, one batch of their own, pass.
+        from beamcycle import validation
+
+        rule = validation._gauss_panels
+
+        def nan_rates(f, a, b, rel_tol):
+            if f.__name__ == "rate":
+                return rule(lambda x, rows: x * float("nan"), a, b, rel_tol)
+            return rule(f, a, b, rel_tol)
+
+        monkeypatch.setattr(validation, "_gauss_panels", nan_rates)
+        monkeypatch.setattr(validation, "_MAX_PANELS", 8)
         code, out, err = run_cli(capsys, "verify")
         assert code == 1
         assert "Traceback" not in err
@@ -484,6 +495,49 @@ def test_small_verify_matches_golden_bytes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "0")
     assert code == 0
     assert out.encode() == (GOLDEN_TESTS / "verify-seed0.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv, expected_code",
+    [(f"verify-seed{seed}", ["--seed", str(seed)], 0) for seed in (3, 7, 99, 505)]
+    + [("verify-perturb1e-3", ["--perturb-closed-form", "1e-3"], 1)],
+    ids=["seed3", "seed7", "seed99", "seed505", "perturb1e-3"],
+)
+def test_more_verify_reports_match_golden_bytes(capsys, name, argv, expected_code):
+    # More seeds, and a failing report, each captured before the quadrature
+    # and water-filling oracles were batched into array passes.
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == expected_code
+    assert out.encode() == (GOLDEN_TESTS / f"{name}.csv").read_bytes()
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main``, argparse's own exits included."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # main reuses one argparse tree; runs through it, erroring ones included,
+    # give the bytes and exit codes of a fresh tree each.
+    argvs = [
+        ["baseline", "--json"],
+        ["verify", "--seed", "-1"],
+        ["optimize", "--pmax", "nope"],
+        ["sweep", "--axis", "speed", "--values", "10,20"],
+        ["optimize", "--json"],
+        ["baseline"],
+    ]
+    assert _make_parser() is _make_parser()
+    reused = [_outcome(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        _make_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [0, 2, 2, 0, 0, 0]
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

@@ -19,7 +19,7 @@ from beamcycle import (
     norm_power_budget,
     norm_rate,
     snr_gamma,
-    waterfilling_power,
+    validation,
 )
 from beamcycle.performance import LN2
 
@@ -29,18 +29,20 @@ EPS = 2.0**-52
 
 
 class TestWaterfilling:
+    """The water-filling profile (rho - u/(d*gamma))+ that jensen_check certifies."""
+
     def test_level_at_floor(self):
-        assert waterfilling_power(rho=2.0, u_t=2.0, d=1.0, gamma=1.0) == 0.0
+        assert validation._waterfilling(2.0, np.array([2.0]), 1.0, 1.0).tolist() == [0.0]
 
     def test_zero_level(self):
-        assert waterfilling_power(rho=0.0, u_t=1.0, d=1.0, gamma=1.0) == 0.0
+        assert validation._waterfilling(0.0, np.array([1.0]), 1.0, 1.0).tolist() == [0.0]
 
     def test_double_floor(self):
         u_t, d, gamma = 3.0, 10.0, 0.5
         floor = u_t / (d * gamma)
-        assert waterfilling_power(2.0 * floor, u_t, d, gamma) == pytest.approx(
-            floor, rel=1e-12
-        )
+        powers = validation._waterfilling(2.0 * floor, np.array([u_t, 2.0 * u_t]), d, gamma)
+        assert powers[0] == pytest.approx(floor, rel=1e-12)
+        assert powers[1] == 0.0
 
     def test_profile_validates_floor(self, params):
         u_th = 100 * params.delta_s * params.phi
@@ -57,8 +59,10 @@ class TestWaterfilling:
         t_start = 2 * params.delta_s
         times = np.linspace(t_start, cycle_duration(params, u_th, 2), 50)
         widths = u_c + params.phi * (times - t_start)
-        powers = [waterfilling_power(rho, u, params.d, gamma) for u in widths]
-        assert all(b <= a for a, b in zip(powers, powers[1:]))
+        powers = validation._waterfilling(rho, widths, params.d, gamma)
+        # The array expression gives the bits of the scalar one, sample by sample.
+        assert powers.tolist() == [max(0.0, rho - u / (params.d * gamma)) for u in widths]
+        assert np.all(np.diff(powers) <= 0.0)
         assert powers[-1] == 0.0  # level below u_th leaves an idle tail
 
 

@@ -16,12 +16,15 @@ from beamcycle import (
     comm_width,
     coverage_suite,
     jensen_check,
+    max_beams,
+    max_upsilon,
     min_upsilon,
     quadrature_suite,
     slope_sign_suite,
     snr_gamma,
     validation,
 )
+from beamcycle.sweep import trigger_width_branches
 
 from conftest import SUITE_MUTANTS, make_params, run_mutant
 
@@ -241,6 +244,44 @@ def _refine_midpoint(f, a, b, rel_tol):
     raise RuntimeError(f"midpoint reference did not converge to {rel_tol}")
 
 
+def _refine_midpoint_rows(f, a, b, rel_tol):
+    """``_refine_midpoint`` row by row, in ``_gauss_panels``' signature."""
+    return np.array([
+        _refine_midpoint(lambda x: f(x[None, None, :], np.array([i]))[0, 0], a[i], b[i], rel_tol)
+        for i in range(a.size)
+    ])
+
+
+def _gauss_panels_scalar(f, a, b, rel_tol):
+    """The one-integral loop that ``_gauss_panels`` batches, kept as its reference."""
+    if b <= a:
+        return 0.0
+    nodes, weights = validation._gauss_legendre()
+    prev = math.nan
+    panels = 1
+    while panels <= validation._MAX_PANELS:
+        h = (b - a) / panels
+        x = a + h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))
+        cur = 0.5 * h * float(np.sum(f(x) @ weights))
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+        panels *= 2
+    return math.nan
+
+
+def _step_at_third(x, rows):
+    # Panel doubling never puts a panel edge on 1/3, so the panel that
+    # holds the step keeps an error of the order of its width.
+    return (x > 1.0 / 3.0).astype(float)
+
+
+def _mixed_integrands(x, rows):
+    """A smooth integrand of its own per row, but the unconverging step in row 2."""
+    row = rows[:, None, None]
+    return np.where(row == 2, _step_at_third(x, rows), np.exp(np.sin(3.0 * x + row)))
+
+
 class TestQuadrature:
     def test_matches_closed_forms_both_branches(self):
         p = make_params(delta_s=1e-5, phi=10.0)
@@ -262,7 +303,7 @@ class TestQuadrature:
         level = u_c + level_frac * (u_th - u_c)
         rho = _rho_for_level(params, level)
         gauss = [f(params, n_beams, u_th, rho) for f in (avg_rate_numeric, avg_power_numeric)]
-        monkeypatch.setattr(validation, "_gauss_panels", _refine_midpoint)
+        monkeypatch.setattr(validation, "_gauss_panels", _refine_midpoint_rows)
         midpoint = [
             f(params, n_beams, u_th, rho, rel_tol=1e-9)
             for f in (avg_rate_numeric, avg_power_numeric)
@@ -281,37 +322,62 @@ class TestQuadrature:
         assert not (nodes.flags.writeable or weights.flags.writeable)
 
     def test_unconverged_is_nan(self):
-        # Panel doubling never puts a panel edge on 1/3, so the panel that
-        # holds the step keeps an error of the order of its width.
-        step_at_third = lambda x: (x > 1.0 / 3.0).astype(float)  # noqa: E731
-        assert math.isnan(validation._gauss_panels(step_at_third, 0.0, 1.0, 1e-12))
+        zero, one = np.array([0.0]), np.array([1.0])
+        assert math.isnan(validation._gauss_panels(_step_at_third, zero, one, 1e-12)[0])
         # A looser tolerance accepts it.
-        value = validation._gauss_panels(step_at_third, 0.0, 1.0, 1e-2)
+        value = validation._gauss_panels(_step_at_third, zero, one, 1e-2)[0]
         assert value == pytest.approx(2.0 / 3.0, rel=1e-2)
 
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-6])
+    def test_batch_rows_keep_their_bits(self, rel_tol):
+        # Each row of a batch gets the bits of a batch of one and of the
+        # scalar loop, also next to a row that never converges, whose NaN
+        # must not reach its neighbours; an empty or reversed range is 0.
+        a = np.array([0.0, 0.0, 0.0, -1.0, 0.5, 0.0, 2.0, 1e-3, 0.0])
+        b = np.array([1.0, 1.0, 1.0, 2.0, 0.5, 3.0, 1.0, 4.0, 1.0])
+        batch = validation._gauss_panels(_mixed_integrands, a, b, rel_tol)
+        for i in range(a.size):
+            def one(x, rows, i=i):
+                return _mixed_integrands(x, np.full(rows.size, i))
+
+            alone = validation._gauss_panels(one, a[i:i + 1], b[i:i + 1], rel_tol)
+            scalar = _gauss_panels_scalar(
+                lambda x, i=i: _mixed_integrands(x[None], np.array([i]))[0], a[i], b[i], rel_tol
+            )
+            assert batch[i:i + 1].tobytes() == alone.tobytes() == np.array([scalar]).tobytes(), i
+        assert math.isnan(batch[2]) and batch[4] == batch[6] == 0.0
+        assert np.isfinite(np.delete(batch, 2)).all()
+
+    def test_unconverged_rows_keep_a_pass_small(self):
+        # Rows that run on to _MAX_PANELS are evaluated a few at a time, so a
+        # pass holds about as much as one row did before batching.
+        n = 20
+        peak = _traced_peak(
+            lambda: validation._gauss_panels(_step_at_third, np.zeros(n), np.ones(n), 1e-12)
+        )
+        assert peak < 2**21
+
     def test_default_verify_point_ceiling(self, monkeypatch, tmp_path):
-        # At most 1 + 2 panels per integral: 3 * 48 points, 57,600 over the
-        # 400 integrals of a default verify (the midpoint rule took 1.01e7).
+        # A default verify is two batched integrals, each converging at 2
+        # panels over its 200 tuples: 4 integrand passes. At most 1 + 2
+        # panels per tuple, 57,600 points in all (the midpoint rule took
+        # 1.01e7). Per-tuple quadrature would take 400 passes or more.
         from beamcycle.cli import main
 
         counts = []
         rule = validation._gauss_panels
 
         def counted(f, a, b, rel_tol):
-            points = [0]
+            def g(x, rows):
+                counts.append(x.size)
+                assert x.ndim == 3 and x.shape[2] == validation.GAUSS_NODES
+                return f(x, rows)
 
-            def g(x):
-                points[0] += x.size
-                return f(x)
-
-            value = rule(g, a, b, rel_tol)
-            counts.append(points[0])
-            return value
+            return rule(g, a, b, rel_tol)
 
         monkeypatch.setattr(validation, "_gauss_panels", counted)
         assert main(["verify", "--out", str(tmp_path / "report.csv")]) == 0
-        assert len(counts) == 400
-        assert max(counts) <= 3 * validation.GAUSS_NODES
+        assert len(counts) <= 4
         assert sum(counts) <= 57_600
 
     def test_zero_at_floor(self):
@@ -367,7 +433,7 @@ class TestJensen:
         # Water-filling without its (.)+ has one marginal rate everywhere,
         # but its negative powers are infeasible.
         monkeypatch.setattr(
-            validation, "waterfilling_power", lambda rho, u_t, d, gamma: rho - u_t / (d * gamma)
+            validation, "_waterfilling", lambda rho, u, d, gamma: rho - u / (d * gamma)
         )
         u_th = 100 * params.delta_s * params.phi
         result = jensen_check(params, 2, u_th, _rho_for_level(params, 0.8 * u_th))
@@ -453,6 +519,30 @@ class TestSuites:
     )
     def test_other_suites_catch_mutant(self, params, monkeypatch, mutant):
         _assert_caught_alone(params, monkeypatch, mutant)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 99, 505])
+    def test_slope_sign_points_match_one_draw_per_point(self, monkeypatch, seed):
+        # The suite draws each beam count's points in one call; they must be
+        # bit for bit the points of one scalar draw per point.
+        points = []
+        tight = validation.tight_zeta
+
+        def recorded(upsilon, n_beams, p_hat_max):
+            points.append((upsilon, n_beams, p_hat_max))
+            return tight(upsilon, n_beams, p_hat_max)
+
+        monkeypatch.setattr(validation, "tight_zeta", recorded)
+        slope_sign_suite(seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        expected = []
+        for budget in (0.1, 1.0, 10.0, 100.0):
+            for n in range(2, max_beams(budget) + 1):
+                lo = trigger_width_branches(n)[0] * (1.0 + 1e-5)
+                hi = max_upsilon(n, budget) * (1.0 - 1e-5)
+                for _ in range(50):
+                    ups = rng.uniform(lo, hi)
+                    expected += [(ups + 1e-6 * ups, n, budget), (ups - 1e-6 * ups, n, budget)]
+        assert points == expected
 
     def test_slope_sign_suite_passes(self):
         for result in slope_sign_suite(budgets=(0.5, 5.0), n_points=10, seed=6):
