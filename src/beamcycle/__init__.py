@@ -14,7 +14,6 @@ numerical quadrature and an optimality certificate for water-filling.
 """
 
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power
-from .errors import FeasibilityError
 from .optimize import (
     OptimalDesign,
     best_upsilon,
@@ -36,6 +35,7 @@ from .performance import (
     norm_rate,
 )
 from .sweep import (
+    FeasibilityError,
     SweepSchedule,
     build_schedule,
     comm_width,
@@ -55,9 +55,7 @@ __all__ = [
     "SweepSchedule",
     "SystemParams",
     "avg_power_closed",
-    "avg_power_numeric",
     "avg_rate_closed",
-    "avg_rate_numeric",
     "best_upsilon",
     "build_schedule",
     "comm_fraction",

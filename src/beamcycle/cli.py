@@ -22,10 +22,9 @@ from collections import namedtuple
 
 from . import __version__
 from .baseline import BaselineConfig, comm_fraction, power_for_avg, rate_and_power
-from .errors import FeasibilityError
 from .optimize import OptimalDesign, optimize_design
 from .params import SystemParams
-from .sweep import cycle_duration, validate_small_angle
+from .sweep import FeasibilityError, cycle_duration, validate_small_angle
 
 # Scenario defaults; phi follows v_max unless set explicitly, and n0 is in
 # dBm/Hz at this boundary.

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import FeasibilityError
 from .params import SystemParams
 from .performance import (
     avg_power_closed,
@@ -33,7 +32,7 @@ from .performance import (
     norm_power_budget,
     norm_rate,
 )
-from .sweep import min_upsilon, trigger_width_branches
+from .sweep import FeasibilityError, min_upsilon, trigger_width_branches
 
 # Relative nudge away from the pole of tight_zeta at the lower bracket end.
 _BRACKET_EPS = 1e-9
@@ -43,6 +42,9 @@ _BRACKET_EPS = 1e-9
 _BOUND_SLACK = 1e-12
 
 _MAX_BEAMS_CAP = 10**6
+
+# Relative width of the bracket at which the bisection stops.
+_TOL = 1e-10
 
 # Normalized budgets below this get the zero-rate design. The bisection
 # holds the power constraint to 1e-8 down to about 1e-14, and its sign
@@ -58,7 +60,7 @@ def max_upsilon(n_beams: int, p_hat_max: float) -> float:
     """
     if n_beams < 2:
         raise ValueError(f"need at least 2 sweeping beams, got {n_beams!r}")
-    if p_hat_max <= 0.0:
+    if not p_hat_max > 0.0:
         raise ValueError(f"p_hat_max must be positive, got {p_hat_max!r}")
     n = n_beams
     return trigger_width_branches(n_beams)[0] + n * p_hat_max / (n - 1.0) * (
@@ -110,6 +112,8 @@ def tight_zeta(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     negative results mean ``upsilon`` exceeds ``max_upsilon`` and are
     rejected as infeasible.
     """
+    if not p_hat_max > 0.0:
+        raise ValueError(f"p_hat_max must be positive, got {p_hat_max!r}")
     n = n_beams
     u_hat = norm_comm_width(upsilon, n_beams)
     if upsilon <= u_hat:
@@ -164,10 +168,8 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     )
 
 
-def slope_root(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
+def slope_root(n_beams: int, p_hat_max: float) -> float:
     """Unique zero of ``rate_slope`` in its sign-change bracket, by bisection."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     # The threshold increases with the count: this is n_beams > max_beams,
     # without computing max_beams.
     if beam_count_threshold(n_beams) > p_hat_max:
@@ -187,7 +189,7 @@ def slope_root(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
             f"slope({hi}) = {f_hi}"
         )
     for _ in range(200):
-        if not hi - lo > tol * hi:
+        if not hi - lo > _TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if rate_slope(mid, n_beams, p_hat_max) > 0.0:
@@ -197,13 +199,13 @@ def slope_root(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def best_upsilon(n_beams: int, p_hat_max: float, tol: float = 1e-10) -> float:
+def best_upsilon(n_beams: int, p_hat_max: float) -> float:
     """Rate-maximizing ``upsilon`` for a fixed beam count.
 
     Bisects ``rate_slope`` on its sign-change bracket, then clamps to the
     beamwidth-nonnegativity bound (which binds only for 5+ beams).
     """
-    return max(trigger_width_branches(n_beams)[1], slope_root(n_beams, p_hat_max, tol))
+    return max(trigger_width_branches(n_beams)[1], slope_root(n_beams, p_hat_max))
 
 
 def _rate_bound(n_beams: int, p_hat_max: float) -> float:
@@ -254,7 +256,7 @@ class OptimalDesign(
     __slots__ = ()
 
 
-def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:
+def optimize_design(params: SystemParams) -> OptimalDesign:
     """Maximize the average rate subject to the average power budget.
 
     Bisects the normalized per-beam-count problems for n = 2, 3, ... in
@@ -276,7 +278,7 @@ def optimize_design(params: SystemParams, tol: float = 1e-10) -> OptimalDesign:
     for n in range(2, max_beams(p_hat_max) + 1):
         if n >= 5 and _rate_bound(n, p_hat_max) * (1.0 + _BOUND_SLACK) < best[2]:
             break
-        ups = best_upsilon(n, p_hat_max, tol=tol)
+        ups = best_upsilon(n, p_hat_max)
         zeta = tight_zeta(ups, n, p_hat_max)
         rate = norm_rate(n, ups, zeta)
         candidates.append((n, ups, rate))

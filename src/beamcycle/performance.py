@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import FeasibilityError
 from .params import SystemParams, snr_gamma
-from .sweep import comm_width, min_u_th
+from .sweep import FeasibilityError, comm_width, min_u_th
 
 LN2 = math.log(2.0)
 

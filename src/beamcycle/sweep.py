@@ -17,8 +17,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import FeasibilityError
 from .params import SystemParams
+
+# Largest beamwidth u_th/d (rad) at which the flat-beam approximation is
+# accepted without a warning; its relative error there is about 1%.
+_SMALL_ANGLE = 0.35
+
+
+class FeasibilityError(ValueError):
+    """A design point violates a feasibility constraint."""
 
 
 def trigger_width_branches(n_beams: int) -> tuple[float, float]:
@@ -78,21 +85,19 @@ def build_schedule(params: SystemParams, u_th: float, n_beams: int) -> SweepSche
     """Construct the sweep schedule triggered at uncertainty width ``u_th``.
 
     Raises FeasibilityError when ``u_th`` is below the bound for
-    ``n_beams``, naming the violated branch.
+    ``n_beams``; the message names the violated constraint.
     """
     shrink, nonneg = trigger_width_branches(n_beams)
     step = params.delta_s * params.phi
     if u_th < shrink * step:
         raise FeasibilityError(
             f"u_th = {u_th} m would not shrink the uncertainty width with "
-            f"{n_beams} beams (needs >= {shrink * step} m)",
-            branch="shrinkage",
+            f"{n_beams} beams (needs >= {shrink * step} m)"
         )
     if u_th < nonneg * step:
         raise FeasibilityError(
             f"u_th = {u_th} m gives a negative first beamwidth with "
-            f"{n_beams} beams (needs >= {nonneg * step} m)",
-            branch="beamwidth-nonnegativity",
+            f"{n_beams} beams (needs >= {nonneg * step} m)"
         )
 
     n = n_beams
@@ -118,25 +123,23 @@ def build_schedule(params: SystemParams, u_th: float, n_beams: int) -> SweepSche
     )
 
 
-def validate_small_angle(
-    params: SystemParams, u_th: float, threshold: float = 0.35
-) -> list[str]:
+def validate_small_angle(params: SystemParams, u_th: float) -> list[str]:
     """Warnings (not errors) when the flat-beam approximation degrades.
 
     The scan geometry equates a beam of width omega with a road segment of
     length d*omega, which is only accurate for small angles. The check is
-    boundary-inclusive: u_th/d equal to the threshold stays silent.
+    boundary-inclusive: u_th/d equal to ``_SMALL_ANGLE`` stays silent.
     """
     if u_th <= 0.0:
         raise ValueError(f"u_th must be positive, got {u_th!r}")
     warnings = []
     max_angle = u_th / params.d
-    if max_angle > threshold:
+    if max_angle > _SMALL_ANGLE:
         exact = 2.0 * math.atan(max_angle / 2.0)
         rel_err = (max_angle - exact) / max_angle
         warnings.append(
             f"largest beamwidth u_th/d = {max_angle:.4g} rad exceeds "
-            f"{threshold:.4g} rad; flat-beam approximation error is "
+            f"{_SMALL_ANGLE:.4g} rad; flat-beam approximation error is "
             f"{100.0 * rel_err:.2f}% there"
         )
     return warnings

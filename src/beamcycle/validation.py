@@ -24,8 +24,8 @@ forms they test:
   tests the formulas the optimizer uses. The integration range stops where
   the water-filling power reaches zero, so the integrand is smooth there
   and a few panels suffice; an integral that does not converge is a failed
-  case. At the other defaults the suite passes for ``phi`` from 1e-300 to
-  1.7e308;
+  case. At the other defaults the suite passes for every accepted ``phi``,
+  from about 2.2e-303 (the smallest normal drift per microslot) to 1.7e308;
 * the first-order (KKT) optimality conditions of the water-filling
   profile on a time grid over the data phase, which prove that no
   profile of equal average power on that grid has a higher average rate.
@@ -68,6 +68,15 @@ _MEMBERSHIP_SLACK = 1e-9
 GAUSS_NODES = 48
 _MAX_PANELS = 2**10
 _PASS_POINTS = 2**16
+
+# Agreement of two successive quadrature estimates at which a design's
+# integral has converged, and the largest relative gap between a closed
+# form and its quadrature that passes a case.
+_QUAD_TOL = 1e-12
+_CLOSED_FORM_TOL = 1e-7
+
+# Instants of jensen_check's grid over the data phase.
+_GRID_POINTS = 10_000
 
 
 def _dilate(intervals: list[tuple[float, float]], r: float) -> list[tuple[float, float]]:
@@ -236,26 +245,6 @@ def _averages(
     )
 
 
-def avg_rate_numeric(
-    params: SystemParams, n_beams: int, u_th: float, rho: float, rel_tol: float = 1e-12
-) -> float:
-    """Cycle-averaged rate (bit/s) by direct quadrature of the rate integral.
-
-    NaN if the quadrature does not converge to ``rel_tol``.
-    """
-    return float(_averages(params, [(n_beams, u_th, rho)], rel_tol)[0][0])
-
-
-def avg_power_numeric(
-    params: SystemParams, n_beams: int, u_th: float, rho: float, rel_tol: float = 1e-12
-) -> float:
-    """Cycle-averaged power by direct quadrature of the power integral.
-
-    NaN if the quadrature does not converge to ``rel_tol``.
-    """
-    return float(_averages(params, [(n_beams, u_th, rho)], rel_tol)[1][0])
-
-
 # ---------------------------------------------------------------------------
 # Check reports
 # ---------------------------------------------------------------------------
@@ -272,21 +261,15 @@ class CheckResult(namedtuple("CheckResult", "check_name n_cases n_failures worst
         return self.n_cases > 0 and self.n_failures == 0
 
 
-def _waterfilling(rho: float, u: np.ndarray, d: float, gamma: float) -> np.ndarray:
-    """Water-filling power (rho - u/(d*gamma))+ at uncertainty widths ``u``."""
-    return np.maximum(0.0, rho - u / (d * gamma))
+def _waterfilling(level: float, w: np.ndarray) -> np.ndarray:
+    """Water-filling power (level - w)+ at widths ``w``, all in drift units."""
+    return np.maximum(0.0, level - w)
 
 
 # Grid arithmetic past the float range (at an extreme phi, say) gives inf or
 # NaN residuals, which fail their cases; numpy's warnings would only repeat it.
 @np.errstate(all="ignore")
-def jensen_check(
-    params: SystemParams,
-    n_beams: int,
-    u_th: float,
-    rho: float,
-    grid_points: int = 10_000,
-) -> CheckResult:
+def jensen_check(params: SystemParams, n_beams: int, u_th: float, rho: float) -> CheckResult:
     """Water-filling optimality certificate on a time grid over the data phase.
 
     On the grid, maximizing the mean of ``log1p(gain * p)`` over profiles
@@ -301,17 +284,22 @@ def jensen_check(
     sample): the water-filling profile itself, a constant one, and the
     water-filling profile reversed in time, each one array over the grid.
     At zero power the only profile is zero, so only the comparisons run.
+
+    Widths and the water level are in drift units ``delta_s*phi``, and
+    power in units of ``delta_s*phi / (d*gamma)``, so the gain is ``1/w``:
+    the physical gain ``d*gamma/u`` overflows at a tiny ``phi``.
     """
     gamma, u_c, t_cycle, t0, _ = _data_phase(params, n_beams, u_th, rho)
-    t = t0 + (t_cycle - t0) * (np.arange(grid_points) + 0.5) / grid_points
-    u = u_c + params.phi * (t - t0)
-    gain = params.d * gamma / u  # per-sample SNR factor per unit power
-    wf = _waterfilling(rho, u, params.d, gamma)
+    step = params.delta_s * params.phi
+    t = t0 + (t_cycle - t0) * (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
+    w = (u_c + params.phi * (t - t0)) / step
+    gain = 1.0 / w
+    wf = _waterfilling(params.d * gamma * rho / step, w)
     budget = float(np.mean(wf))
     rate_wf = float(np.mean(np.log1p(gain * wf)))
     residuals = [
         float(np.mean(np.log1p(gain * p))) - rate_wf
-        for p in (wf, np.full(grid_points, budget), wf[::-1])
+        for p in (wf, np.full(_GRID_POINTS, budget), wf[::-1])
     ]
     if budget > 0.0:
         marginal = gain / (1.0 + gain * wf)
@@ -338,8 +326,6 @@ def quadrature_suite(
     params: SystemParams,
     n_tuples: int = 200,
     seed: int = 0,
-    rel_tol: float = 1e-7,
-    quad_tol: float = 1e-12,
     perturb_closed_form: float = 0.0,
 ) -> list[CheckResult]:
     """Closed forms vs quadrature over random feasible designs.
@@ -369,7 +355,7 @@ def quadrature_suite(
     for name, closed, reference in zip(
         ("closed_vs_numeric_rate", "closed_vs_numeric_power"),
         (avg_rate_closed, avg_power_closed),
-        _averages(params, tuples, quad_tol),
+        _averages(params, tuples, _QUAD_TOL),
     ):
         value = np.empty(n_tuples)
         for j, (n, u_th, rho) in enumerate(tuples):
@@ -381,7 +367,7 @@ def quadrature_suite(
                 value[j] = math.nan
         rel = np.abs(value - reference) / np.maximum(np.abs(reference), 1e-300)
         # A NaN residual is a failure, and np.max carries it into worst.
-        failures = int(np.sum(~(rel <= rel_tol)))
+        failures = int(np.sum(~(rel <= _CLOSED_FORM_TOL)))
         results.append(CheckResult(name, n_tuples, failures, float(np.max(rel, initial=0.0))))
     return results
 

@@ -85,14 +85,14 @@ def _rate_slope_flipped(upsilon, n_beams, p_hat_max):
     return rate_slope(upsilon, n, p_hat_max) + 2.0 * (n - 1.0) * w * zeta / (n * (1.0 + zeta))
 
 
-def _rising_power(rho, u, d, gamma):
+def _rising_power(level, w):
     """A power profile that rises with the width, the reverse of water-filling."""
-    return u / (d * gamma)
+    return w
 
 
-def _half_slope_power(rho, u, d, gamma):
+def _half_slope_power(level, w):
     """Water-filling falling at half its slope: no fixed profile beats it."""
-    return np.maximum(0.0, rho - u / (2.0 * d * gamma))
+    return np.maximum(0.0, level - w / 2.0)
 
 
 def _pref(n_beams, upsilon):

@@ -29,19 +29,23 @@ EPS = 2.0**-52
 
 
 class TestWaterfilling:
-    """The water-filling profile (rho - u/(d*gamma))+ that jensen_check certifies."""
+    """The water-filling profile that jensen_check certifies, in drift units.
+
+    With widths ``w = u/(delta_s*phi)``, the level ``d*gamma*rho/(delta_s*phi)``
+    and power in units of ``delta_s*phi/(d*gamma)``, ``(rho - u/(d*gamma))+``
+    is ``(level - w)+``.
+    """
 
     def test_level_at_floor(self):
-        assert validation._waterfilling(2.0, np.array([2.0]), 1.0, 1.0).tolist() == [0.0]
+        assert validation._waterfilling(2.0, np.array([2.0])).tolist() == [0.0]
 
     def test_zero_level(self):
-        assert validation._waterfilling(0.0, np.array([1.0]), 1.0, 1.0).tolist() == [0.0]
+        assert validation._waterfilling(0.0, np.array([1.0])).tolist() == [0.0]
 
     def test_double_floor(self):
-        u_t, d, gamma = 3.0, 10.0, 0.5
-        floor = u_t / (d * gamma)
-        powers = validation._waterfilling(2.0 * floor, np.array([u_t, 2.0 * u_t]), d, gamma)
-        assert powers[0] == pytest.approx(floor, rel=1e-12)
+        w_t = 3.0
+        powers = validation._waterfilling(2.0 * w_t, np.array([w_t, 2.0 * w_t]))
+        assert powers[0] == pytest.approx(w_t, rel=1e-12)
         assert powers[1] == 0.0
 
     def test_profile_validates_floor(self, params):
@@ -58,10 +62,12 @@ class TestWaterfilling:
         rho = 0.9 * u_th / (params.d * gamma)
         t_start = 2 * params.delta_s
         times = np.linspace(t_start, cycle_duration(params, u_th, 2), 50)
-        widths = u_c + params.phi * (times - t_start)
-        powers = validation._waterfilling(rho, widths, params.d, gamma)
+        step = params.delta_s * params.phi
+        widths = (u_c + params.phi * (times - t_start)) / step
+        level = params.d * gamma * rho / step
+        powers = validation._waterfilling(level, widths)
         # The array expression gives the bits of the scalar one, sample by sample.
-        assert powers.tolist() == [max(0.0, rho - u / (params.d * gamma)) for u in widths]
+        assert powers.tolist() == [max(0.0, level - w) for w in widths]
         assert np.all(np.diff(powers) <= 0.0)
         assert powers[-1] == 0.0  # level below u_th leaves an idle tail
 
@@ -139,11 +145,10 @@ class TestNormalizedForms:
 
     def test_rate_hand_value_against_quadrature(self):
         # Same point through the physical integral instead of algebra.
-        from beamcycle import avg_rate_numeric
-
         p = make_params()
         u_th, rho = denormalize(p, 8.0, 0.25)
-        numeric = LN2 * avg_rate_numeric(p, 2, u_th, rho) / p.w_tot
+        rate = validation._averages(p, [(2, u_th, rho)], 1e-12)[0][0]
+        numeric = LN2 * float(rate) / p.w_tot
         assert norm_rate(2, 8.0, 0.25) == pytest.approx(numeric, rel=1e-8)
 
     def test_rate_zero_at_power_floor(self):

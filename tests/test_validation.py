@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from beamcycle import (
     CheckResult,
     avg_power_closed,
-    avg_power_numeric,
     avg_rate_closed,
-    avg_rate_numeric,
     build_schedule,
     comm_width,
     coverage_suite,
@@ -40,6 +38,12 @@ DRIFT_KINDS = ("constant-extreme", "uniform", "bang-bang")
 
 def _rho_for_level(params, level):
     return level / (params.d * snr_gamma(params))
+
+
+def _numeric(params, n_beams, u_th, rho, rel_tol=1e-12):
+    """(rate, power) of one design by the oracle's quadrature, to ``rel_tol``."""
+    rate, power = validation._averages(params, [(n_beams, u_th, rho)], rel_tol)
+    return float(rate[0]), float(power[0])
 
 
 # Reference: sampled paths under coverage_suite's detection model. Beam k
@@ -288,11 +292,10 @@ class TestQuadrature:
         u_th = 1.0
         for level in (1.25, 0.7):  # above and inside the width range
             rho = _rho_for_level(p, level * u_th)
+            rate_n, power_n = _numeric(p, 2, u_th, rho)
             rate_c = avg_rate_closed(p, 2, u_th, rho)
-            rate_n = avg_rate_numeric(p, 2, u_th, rho)
             assert rate_n == pytest.approx(rate_c, rel=1e-8)
             power_c = avg_power_closed(p, 2, u_th, rho)
-            power_n = avg_power_numeric(p, 2, u_th, rho)
             assert power_n == pytest.approx(power_c, rel=1e-8)
 
     @pytest.mark.parametrize("n_beams, upsilon", [(2, 50.0), (5, 900.0), (8, 12.0)])
@@ -302,12 +305,9 @@ class TestQuadrature:
         u_c = comm_width(params, u_th, n_beams)
         level = u_c + level_frac * (u_th - u_c)
         rho = _rho_for_level(params, level)
-        gauss = [f(params, n_beams, u_th, rho) for f in (avg_rate_numeric, avg_power_numeric)]
+        gauss = _numeric(params, n_beams, u_th, rho)
         monkeypatch.setattr(validation, "_gauss_panels", _refine_midpoint_rows)
-        midpoint = [
-            f(params, n_beams, u_th, rho, rel_tol=1e-9)
-            for f in (avg_rate_numeric, avg_power_numeric)
-        ]
+        midpoint = _numeric(params, n_beams, u_th, rho, rel_tol=1e-9)
         assert gauss == pytest.approx(midpoint, rel=1e-12)
 
     def test_nodes_match_numpy(self):
@@ -383,14 +383,13 @@ class TestQuadrature:
     def test_zero_at_floor(self):
         p = make_params(delta_s=1e-5, phi=10.0)
         rho = _rho_for_level(p, comm_width(p, 1.0, 2))
-        assert avg_rate_numeric(p, 2, 1.0, rho) == 0.0
-        assert avg_power_numeric(p, 2, 1.0, rho) == 0.0
+        assert _numeric(p, 2, 1.0, rho) == (0.0, 0.0)
 
     def test_tolerance_is_self_consistency(self):
         p = make_params(delta_s=1e-5, phi=10.0)
         rho = _rho_for_level(p, 0.8)
-        coarse = avg_rate_numeric(p, 2, 1.0, rho, rel_tol=1e-6)
-        fine = avg_rate_numeric(p, 2, 1.0, rho, rel_tol=1e-10)
+        coarse = _numeric(p, 2, 1.0, rho, rel_tol=1e-6)[0]
+        fine = _numeric(p, 2, 1.0, rho, rel_tol=1e-10)[0]
         assert coarse == pytest.approx(fine, rel=1e-6)
 
 
@@ -433,7 +432,7 @@ class TestJensen:
         # Water-filling without its (.)+ has one marginal rate everywhere,
         # but its negative powers are infeasible.
         monkeypatch.setattr(
-            validation, "_waterfilling", lambda rho, u, d, gamma: rho - u / (d * gamma)
+            validation, "_waterfilling", lambda level, w: level - w
         )
         u_th = 100 * params.delta_s * params.phi
         result = jensen_check(params, 2, u_th, _rho_for_level(params, 0.8 * u_th))
