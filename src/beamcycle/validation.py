@@ -1,6 +1,6 @@
 """Independent verification of the cycle model.
 
-Three families of checks, none of which share algebra with the closed
+Four families of checks, none of which share algebra with the closed
 forms they test:
 
 * exact reachable sets of the sweep protocol -- every user starting in
@@ -28,7 +28,14 @@ forms they test:
   from about 2.2e-303 (the smallest normal drift per microslot) to 1.7e308;
 * the first-order (KKT) optimality conditions of the water-filling
   profile on a time grid over the data phase, which prove that no
-  profile of equal average power on that grid has a higher average rate.
+  profile of equal average power on that grid has a higher average rate;
+* the signs of the optimizer's derivative surrogate ``rate_slope`` at the
+  ends of each beam count's bracket and against central differences of
+  the power-tight rate at random points inside it. The rates come from
+  the suite's own oracle, ``_tight_rate``, which solves the power integral
+  for the water level and integrates the rate, one array pass over all
+  points; it calls neither ``tight_zeta`` nor ``norm_rate``, so a fault
+  in either shows.
 
 The randomized checks draw from streams seeded by the master seed only.
 """
@@ -42,13 +49,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import max_beams, max_upsilon, rate_slope, tight_zeta
+from .optimize import max_beams, max_upsilon, rate_slope
 from .params import SystemParams, snr_gamma
 from .performance import (
     avg_power_closed,
     avg_rate_closed,
     norm_comm_width,
-    norm_rate,
 )
 from .sweep import (
     SweepSchedule,
@@ -410,6 +416,28 @@ def coverage_suite(
     ]
 
 
+def _tight_rate(upsilon: np.ndarray, n_beams: np.ndarray, p_hat_max: np.ndarray) -> np.ndarray:
+    """Normalized rate on the power-tight curve, elementwise: the slope suite's oracle.
+
+    In drift units the data phase sweeps the widths ``u`` from the
+    post-sweep width ``u_hat`` up to ``upsilon`` at a time-average weight
+    ``pref = n / ((n-1) (upsilon + n/2 - 1))``. With the water level
+    ``X = upsilon (1 + zeta)`` at or above ``upsilon`` (``zeta >= 0``, which
+    holds strictly between the shrinkage bound and ``max_upsilon``) and
+    ``a = upsilon - u_hat``, the power ``pref/2 * integral of 2 (X - u)`` is
+    ``pref/2 * a * (a + 2 upsilon zeta)``; equal to the budget, it gives
+    ``zeta``. The rate ``pref * integral of ln(X/u)`` is then
+    ``pref * (a (1 + ln(1 + zeta)) - u_hat ln(1 + a/u_hat))``, with both
+    logarithms as ``log1p`` for conditioning near either bracket end.
+    """
+    n = n_beams
+    u_hat = upsilon / n + n / 2.0 + 1.5 - 1.0 / n  # the sweep geometry, as norm_comm_width
+    a = upsilon - u_hat
+    pref = n / ((n - 1.0) * (upsilon + n / 2.0 - 1.0))
+    zeta = (2.0 * p_hat_max / (pref * a) - a) / (2.0 * upsilon)
+    return pref * (a * (1.0 + np.log1p(zeta)) - u_hat * np.log1p(a / u_hat))
+
+
 def slope_sign_suite(
     budgets: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
     n_points: int = 50,
@@ -420,11 +448,12 @@ def slope_sign_suite(
     At each feasible beam count: the surrogate must be positive just above
     the lower boundary, negative at ``max_upsilon``, and match the sign of
     a central difference of the power-tight rate at random interior points.
+    The rates come from ``_tight_rate``, one array pass over every point of
+    every count; ``rate_slope`` is called, checked, once per point.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sign_cases = sign_fail = 0
     bound_cases = bound_fail = 0
-    worst = 0.0
+    draws, counts, levels = [], [], []
     for budget in budgets:
         for n in range(2, max_beams(budget) + 1):
             shrink = trigger_width_branches(n)[0]
@@ -435,19 +464,28 @@ def slope_sign_suite(
             if not rate_slope(hi, n, budget) < 0.0:
                 bound_fail += 1
             # One draw per count gives the bits of one draw per point.
-            draws = rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5), size=n_points)
-            for ups in draws.tolist():
-                h = 1e-6 * ups
-                rp = norm_rate(n, ups + h, tight_zeta(ups + h, n, budget))
-                rm = norm_rate(n, ups - h, tight_zeta(ups - h, n, budget))
-                fd = (rp - rm) / (2.0 * h)
-                if abs(fd) <= 1e-9:
-                    continue  # too close to the optimum for a stable sign
-                sign_cases += 1
-                value = rate_slope(ups, n, budget)
-                if math.copysign(1.0, fd) != math.copysign(1.0, value):
-                    sign_fail += 1
-                    worst = max(worst, abs(fd))
+            draws.append(rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5), size=n_points))
+            counts.append(n)
+            levels.append(budget)
+    ups = np.concatenate(draws)
+    n_beams = np.repeat(np.array(counts, dtype=np.int64), n_points)
+    p_hat = np.repeat(np.array(levels, dtype=float), n_points)
+    h = 1e-6 * ups
+    # (ups + h, ups - h) of each point side by side, in one pass.
+    rates = _tight_rate(
+        np.stack((ups + h, ups - h), axis=1).ravel(), np.repeat(n_beams, 2), np.repeat(p_hat, 2)
+    ).reshape(-1, 2)
+    fd = (rates[:, 0] - rates[:, 1]) / (2.0 * h)
+    sign_cases = sign_fail = 0
+    worst = 0.0
+    for point, n, budget, diff in zip(ups.tolist(), n_beams.tolist(), p_hat.tolist(), fd.tolist()):
+        if abs(diff) <= 1e-9:
+            continue  # too close to the optimum for a stable sign
+        sign_cases += 1
+        value = rate_slope(point, n, budget)
+        if math.copysign(1.0, diff) != math.copysign(1.0, value):
+            sign_fail += 1
+            worst = max(worst, abs(diff))
     return [
         CheckResult("slope_sign", sign_cases, sign_fail, worst),
         CheckResult("slope_boundaries", bound_cases, bound_fail, float(bound_fail)),

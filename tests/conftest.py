@@ -85,6 +85,11 @@ def _rate_slope_flipped(upsilon, n_beams, p_hat_max):
     return rate_slope(upsilon, n, p_hat_max) + 2.0 * (n - 1.0) * w * zeta / (n * (1.0 + zeta))
 
 
+def _tight_zeta_over_budget(upsilon, n_beams, p_hat_max):
+    """tight_zeta solving for a budget 10% above the one it is given."""
+    return tight_zeta(upsilon, n_beams, 1.1 * p_hat_max)
+
+
 def _rising_power(level, w):
     """A power profile that rises with the width, the reverse of water-filling."""
     return w
@@ -138,6 +143,11 @@ SUITE_MUTANTS = {
         807,
     ),
     # The whole verify report, so that every other check is seen to pass.
+    # rate_slope and the optimizer see this fault; the slope oracle,
+    # _tight_rate, solves the power constraint itself, so it does not.
+    "tight-budget": Mutant(
+        "optimize.tight_zeta", _tight_zeta_over_budget, run_all, "slope_sign", 16
+    ),
     "rising-power": Mutant(
         "validation._waterfilling", _rising_power, run_all, "jensen_waterfilling", 3
     ),

@@ -17,9 +17,12 @@ from beamcycle import (
     max_beams,
     max_upsilon,
     min_upsilon,
+    norm_rate,
     quadrature_suite,
+    rate_slope,
     slope_sign_suite,
     snr_gamma,
+    tight_zeta,
     validation,
 )
 from beamcycle.sweep import trigger_width_branches
@@ -522,15 +525,16 @@ class TestSuites:
     @pytest.mark.parametrize("seed", [0, 3, 7, 99, 505])
     def test_slope_sign_points_match_one_draw_per_point(self, monkeypatch, seed):
         # The suite draws each beam count's points in one call; they must be
-        # bit for bit the points of one scalar draw per point.
+        # bit for bit the points of one scalar draw per point, and the oracle
+        # must see each at ups + h, then ups - h.
         points = []
-        tight = validation.tight_zeta
+        oracle = validation._tight_rate
 
         def recorded(upsilon, n_beams, p_hat_max):
-            points.append((upsilon, n_beams, p_hat_max))
-            return tight(upsilon, n_beams, p_hat_max)
+            points.extend(zip(upsilon.tolist(), n_beams.tolist(), p_hat_max.tolist()))
+            return oracle(upsilon, n_beams, p_hat_max)
 
-        monkeypatch.setattr(validation, "tight_zeta", recorded)
+        monkeypatch.setattr(validation, "_tight_rate", recorded)
         slope_sign_suite(seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         expected = []
@@ -553,6 +557,93 @@ class TestSuites:
         for result in quadrature_suite(params, n_tuples=0):
             assert result.n_cases == 0
             assert not result.passed
+
+
+def _slope_sign_scalar(budgets=(0.1, 1.0, 10.0, 100.0), n_points=50, seed=0):
+    """slope_sign_suite with its rates from norm_rate of tight_zeta, point by point.
+
+    The scalar loop that the suite's array oracle replaced, kept as its
+    reference.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sign_cases = sign_fail = 0
+    bound_cases = bound_fail = 0
+    worst = 0.0
+    for budget in budgets:
+        for n in range(2, max_beams(budget) + 1):
+            shrink = trigger_width_branches(n)[0]
+            hi = max_upsilon(n, budget)
+            bound_cases += 2
+            if not rate_slope(shrink * (1.0 + 1e-9), n, budget) > 0.0:
+                bound_fail += 1
+            if not rate_slope(hi, n, budget) < 0.0:
+                bound_fail += 1
+            draws = rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5), size=n_points)
+            for ups in draws.tolist():
+                h = 1e-6 * ups
+                rp = norm_rate(n, ups + h, tight_zeta(ups + h, n, budget))
+                rm = norm_rate(n, ups - h, tight_zeta(ups - h, n, budget))
+                fd = (rp - rm) / (2.0 * h)
+                if abs(fd) <= 1e-9:
+                    continue
+                sign_cases += 1
+                value = rate_slope(ups, n, budget)
+                if math.copysign(1.0, fd) != math.copysign(1.0, value):
+                    sign_fail += 1
+                    worst = max(worst, abs(fd))
+    return [
+        CheckResult("slope_sign", sign_cases, sign_fail, worst),
+        CheckResult("slope_boundaries", bound_cases, bound_fail, float(bound_fail)),
+    ]
+
+
+class TestSlopeOracle:
+    """The slope suite's array oracle against the optimizer's scalar closed forms."""
+
+    def test_matches_norm_rate_of_tight_zeta(self):
+        # Budgets from 1e-3 to 1e4, every feasible count, points drawn as
+        # the suite draws them: the log1p forms agree to a few ulps of the
+        # rate, also next to the pole at the shrinkage bound.
+        rng = np.random.default_rng(np.random.SeedSequence(12))
+        worst = 0.0
+        for _ in range(200):
+            budget = 10 ** rng.uniform(-3.0, 4.0)
+            n = int(rng.integers(2, max_beams(budget) + 1))
+            lo = trigger_width_branches(n)[0] * (1.0 + 1e-5)
+            ups = rng.uniform(lo, max_upsilon(n, budget) * (1.0 - 1e-5), size=20)
+            oracle = validation._tight_rate(ups, np.full(ups.size, n), np.full(ups.size, budget))
+            scalar = np.array([norm_rate(n, u, tight_zeta(u, n, budget)) for u in ups.tolist()])
+            worst = max(worst, float(np.max(np.abs(oracle - scalar) / scalar)))
+        assert worst <= 1e-13
+
+    def test_suite_matches_scalar_reference(self):
+        # The oracle rounds differently from norm_rate, but no sign, skip
+        # or worst residual moves: the results are equal at every seed.
+        for seed in range(50):
+            assert slope_sign_suite(seed=seed) == _slope_sign_scalar(seed=seed), seed
+        for seed in (1, 2):
+            kwargs = dict(budgets=(0.5, 5.0, 1e3), n_points=10, seed=seed)
+            assert slope_sign_suite(**kwargs) == _slope_sign_scalar(**kwargs), seed
+
+    def test_default_work_counts(self, monkeypatch):
+        # 1500 interior points and 60 boundary ends, each one checked
+        # rate_slope call; every finite difference from one oracle pass.
+        slopes, passes = [], []
+        slope, oracle = validation.rate_slope, validation._tight_rate
+
+        def counted_slope(upsilon, n_beams, p_hat_max):
+            slopes.append(upsilon)
+            return slope(upsilon, n_beams, p_hat_max)
+
+        def counted_oracle(upsilon, n_beams, p_hat_max):
+            passes.append(upsilon.size)
+            return oracle(upsilon, n_beams, p_hat_max)
+
+        monkeypatch.setattr(validation, "rate_slope", counted_slope)
+        monkeypatch.setattr(validation, "_tight_rate", counted_oracle)
+        slope_sign_suite()
+        assert len(slopes) == 1560
+        assert len(passes) <= 2 and sum(passes) == 3000
 
 
 def _traced_peak(fn):
