@@ -21,7 +21,6 @@ from .optimize import (
     max_upsilon,
     optimize_design,
     rate_slope,
-    slope_root,
     tight_zeta,
 )
 from .params import SystemParams, snr_gamma
@@ -78,7 +77,6 @@ __all__ = [
     "rate_and_power",
     "rate_slope",
     "run_all",
-    "slope_root",
     "slope_sign_suite",
     "snr_gamma",
     "tight_zeta",

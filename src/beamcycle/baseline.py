@@ -1,10 +1,11 @@
 """Fixed-beamwidth comparison scheme in the style of IEEE 802.11ad.
 
 The comparison point keeps a constant (default 7 degree) beam and realigns
-with a two-beam scan whenever worst-case motion at ``v_max`` could have
-carried the user to the beam edge. Only the beam half-length on the road,
-``r = d * tan(beamwidth/2)``, the realignment overhead ``2 * delta_s``,
-and the constant transmit power enter the resulting rate/power formulas.
+with a two-beam scan whenever worst-case motion, at the scenario's largest
+speed ``phi / 2``, could have carried the user to the beam edge. Only the
+beam half-length on the road, ``r = d * tan(beamwidth/2)``, the realignment
+overhead ``2 * delta_s``, and the constant transmit power enter the
+resulting rate/power formulas.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from .performance import LN2
 
 
 class BaselineConfig(
-    namedtuple("BaselineConfig", "beamwidth_deg v_max p_t", defaults=(7.0, 20.0, 1.0))
+    namedtuple("BaselineConfig", "beamwidth_deg p_t", defaults=(7.0, 1.0))
 ):
-    """The fixed scan/communication beamwidth in degrees, the worst-case
-    speed magnitude in m/s, and the constant transmit power while
-    communicating. As for SystemParams, the constructor and ``_replace``
+    """The fixed scan/communication beamwidth in degrees and the constant
+    transmit power while communicating. The speed is the scenario's: see
+    ``comm_fraction``. As for SystemParams, the constructor and ``_replace``
     raise ValueError for a nonsense value.
     """
 
@@ -32,8 +33,6 @@ class BaselineConfig(
         # Written so that NaN fails every check.
         if not 0.0 < self.beamwidth_deg < 180.0:
             raise ValueError(f"beamwidth_deg must be in (0, 180), got {self.beamwidth_deg!r}")
-        if not 0.0 < self.v_max < math.inf:
-            raise ValueError(f"v_max must be positive and finite, got {self.v_max!r}")
         if not 0.0 <= self.p_t < math.inf:
             raise ValueError(f"p_t must be nonnegative and finite, got {self.p_t!r}")
         return self
@@ -43,16 +42,20 @@ class BaselineConfig(
 
 
 def comm_fraction(params: SystemParams, cfg: BaselineConfig) -> float:
-    """Fraction of time spent communicating between two-beam realignments."""
+    """Fraction of time spent communicating between two-beam realignments.
+
+    The user crosses the beam half-length ``r`` at the largest speed
+    ``phi / 2`` before a realignment is due.
+    """
     r = params.d * math.tan(math.radians(cfg.beamwidth_deg) / 2.0)
-    dwell = r / cfg.v_max
+    dwell = 2.0 * r / params.phi
     fraction = dwell / (dwell + 2.0 * params.delta_s)
     if not fraction > 0.0:
         # A dwell time that underflows or overflows (NaN fails this too);
         # power_for_avg divides by the fraction.
         raise ValueError(
             f"communication fraction {fraction!r} out of range for a "
-            f"{cfg.beamwidth_deg!r} degree beam at v_max = {cfg.v_max!r} m/s"
+            f"{cfg.beamwidth_deg!r} degree beam at phi = {params.phi!r} m/s"
         )
     return fraction
 

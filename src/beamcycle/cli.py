@@ -221,7 +221,7 @@ def cmd_optimize(config: RunConfig, as_json: bool) -> int:
 
 def _matched_baseline(params: SystemParams, beamwidth_deg: float) -> BaselineConfig:
     """The fixed-beam scheme at ``params``' speed, spending its average power budget."""
-    cfg = BaselineConfig(beamwidth_deg=beamwidth_deg, v_max=params.phi / 2.0)
+    cfg = BaselineConfig(beamwidth_deg=beamwidth_deg)
     return cfg._replace(p_t=power_for_avg(params, cfg, params.p_max))
 
 
@@ -288,13 +288,11 @@ def cmd_baseline(config: RunConfig, as_json: bool) -> int:
     if config.p_t is None:
         cfg = _matched_baseline(params, config.beamwidth_deg)
     else:
-        cfg = BaselineConfig(
-            beamwidth_deg=config.beamwidth_deg, v_max=params.phi / 2.0, p_t=config.p_t
-        )
+        cfg = BaselineConfig(beamwidth_deg=config.beamwidth_deg, p_t=config.p_t)
     rate, p_bar = rate_and_power(params, cfg)
     record = {
         "beamwidth_deg": cfg.beamwidth_deg,
-        "v_max_m_s": cfg.v_max,
+        "v_max_m_s": params.phi / 2.0,
         "p_t": cfg.p_t,
         "f_comm": comm_fraction(params, cfg),
         "spectral_efficiency_bit_s_hz": rate / params.w_tot,

@@ -5,12 +5,13 @@ always tight at the optimum, which pins ``zeta`` as a function of
 ``upsilon`` (``tight_zeta``); along that curve the normalized rate is
 unimodal in ``upsilon`` with a sign surrogate of its derivative
 (``rate_slope``) that decreases strictly, so the inner maximization reduces
-to bisection. The outer search scans the beam counts 2, 3, 4, ... in order,
-bisecting each, and stops at the first count from 5 on whose rate bound
-(``_rate_bound``) is below the best rate found: the bound does not rise
-from 5 beams on, so no later count can win. The stop is proved, not
-guessed, and the scan bisects a few dozen counts at any budget, where
-``max_beams`` runs into the thousands.
+to bisection (``best_upsilon``, on the bracket from just above the
+shrinkage bound to ``max_upsilon``). The outer search scans the beam counts
+2, 3, 4, ... in order, bisecting each, and stops at the first count from 5
+on whose rate bound (``_rate_bound``) is below the best rate found: the
+bound does not rise from 5 beams on, so no later count can win. The stop
+is proved, not guessed, and the scan bisects a few dozen counts at any
+budget, where ``max_beams`` runs into the thousands.
 
 Everything here works on Python floats with ``math``: the bisection calls
 these functions thousands of times per design, and numpy's per-call cost
@@ -58,14 +59,11 @@ def max_upsilon(n_beams: int, p_hat_max: float) -> float:
     At ``upsilon = max_upsilon`` the normalized power at zeta = 0 equals
     ``p_hat_max`` exactly, so no headroom is left for the water level.
     """
-    if n_beams < 2:
-        raise ValueError(f"need at least 2 sweeping beams, got {n_beams!r}")
+    shrink = trigger_width_branches(n_beams)[0]
     if not p_hat_max > 0.0:
         raise ValueError(f"p_hat_max must be positive, got {p_hat_max!r}")
     n = n_beams
-    return trigger_width_branches(n_beams)[0] + n * p_hat_max / (n - 1.0) * (
-        1.0 + math.sqrt(1.0 + 2.0 * n / p_hat_max)
-    )
+    return shrink + n * p_hat_max / (n - 1.0) * (1.0 + math.sqrt(1.0 + 2.0 * n / p_hat_max))
 
 
 def beam_count_threshold(n_beams: int) -> float:
@@ -145,18 +143,20 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     """Sign surrogate for d(norm_rate)/d(upsilon) along the power-tight curve.
 
     Positive where widening the trigger width still pays, negative past the
-    optimum; strictly decreasing in ``upsilon``. Defined on the open
-    interval between the shrinkage bound and ``max_upsilon``.
+    optimum; strictly decreasing in ``upsilon``. Defined above the shrinkage
+    bound up to ``max_upsilon``: it raises ValueError at or below the bound
+    and leaves the rest of its domain to ``tight_zeta``, which rejects a
+    NaN budget and, as FeasibilityError, an ``upsilon`` past ``max_upsilon``.
     """
     n = n_beams
     shrink = trigger_width_branches(n_beams)[0]
+    # tight_zeta's own check does not cover this: at upsilon = shrink the
+    # post-sweep width rounds one ulp below upsilon for some counts (3, 7
+    # and 12), and tight_zeta returns a huge zeta there instead of raising.
     if upsilon <= shrink:
         raise ValueError(
             f"upsilon = {upsilon} at or below the shrinkage bound {shrink}"
         )
-    hi = max_upsilon(n_beams, p_hat_max)
-    if upsilon > hi * (1.0 + 1e-12):
-        raise ValueError(f"upsilon = {upsilon} above max_upsilon = {hi}")
     u_hat = norm_comm_width(upsilon, n_beams)
     zeta = tight_zeta(upsilon, n_beams, p_hat_max)
     w = upsilon + n / 2.0 - 1.0
@@ -168,8 +168,13 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     )
 
 
-def slope_root(n_beams: int, p_hat_max: float) -> float:
-    """Unique zero of ``rate_slope`` in its sign-change bracket, by bisection."""
+def best_upsilon(n_beams: int, p_hat_max: float) -> float:
+    """Rate-maximizing ``upsilon`` for a fixed beam count.
+
+    Bisects ``rate_slope`` on its sign-change bracket, from just above the
+    shrinkage bound to ``max_upsilon``, then clamps to the
+    beamwidth-nonnegativity bound (which binds only for 5+ beams).
+    """
     # The threshold increases with the count: this is n_beams > max_beams,
     # without computing max_beams.
     if beam_count_threshold(n_beams) > p_hat_max:
@@ -177,7 +182,8 @@ def slope_root(n_beams: int, p_hat_max: float) -> float:
             f"{n_beams} beams infeasible at normalized budget {p_hat_max} "
             f"(max {max_beams(p_hat_max)})"
         )
-    lo = trigger_width_branches(n_beams)[0] * (1.0 + _BRACKET_EPS)
+    shrink, nonneg = trigger_width_branches(n_beams)
+    lo = shrink * (1.0 + _BRACKET_EPS)
     hi = max_upsilon(n_beams, p_hat_max)
     f_lo = rate_slope(lo, n_beams, p_hat_max)
     f_hi = rate_slope(hi, n_beams, p_hat_max)
@@ -196,16 +202,7 @@ def slope_root(n_beams: int, p_hat_max: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def best_upsilon(n_beams: int, p_hat_max: float) -> float:
-    """Rate-maximizing ``upsilon`` for a fixed beam count.
-
-    Bisects ``rate_slope`` on its sign-change bracket, then clamps to the
-    beamwidth-nonnegativity bound (which binds only for 5+ beams).
-    """
-    return max(trigger_width_branches(n_beams)[1], slope_root(n_beams, p_hat_max))
+    return max(nonneg, 0.5 * (lo + hi))
 
 
 def _rate_bound(n_beams: int, p_hat_max: float) -> float:
@@ -222,9 +219,9 @@ def _rate_bound(n_beams: int, p_hat_max: float) -> float:
         and ``w = upsilon + n/2 - 1`` it is
         ``(n-1) * w * p_hat / (n * upsilon * a) - a / (2 * upsilon)``, and
         both terms decrease in ``upsilon``.
-    (c) The optimum lies at or above ``lo(n)``: ``slope_root`` never leaves
-        its bracket, whose lower end is ``shrink * (1 + _BRACKET_EPS)``, and
-        ``best_upsilon`` clamps to ``nonneg``. So ``zeta* <= zeta(lo(n))``.
+    (c) The optimum lies at or above ``lo(n)``: ``best_upsilon`` never
+        leaves its bracket, whose lower end is ``shrink * (1 + _BRACKET_EPS)``,
+        and clamps to ``nonneg``. So ``zeta* <= zeta(lo(n))``.
     (d) The bound falls in ``n`` from 5 on: there ``lo = (n-1)(n-2)/2`` and
         ``zeta(lo) = 2 p_hat / (n^2-5n+2) - (n^2-5n+2) / (2 (n-1)(n-2))``,
         which falls in ``n``, and so does its clamp at 0 in ``tight_zeta``.

@@ -1,9 +1,13 @@
+import contextlib
+import importlib
+import pkgutil
 from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
+import beamcycle
 from beamcycle import (
     SystemParams,
     build_schedule,
@@ -119,9 +123,9 @@ def _norm_power_no_tail(n_beams, upsilon, zeta):
 
 
 class Mutant(NamedTuple):
-    """A faulty stand-in for one module-level name of the package."""
+    """A faulty stand-in for one module-level object of the package."""
 
-    target: str                      # the dotted name it replaces, below beamcycle
+    target: str                      # a dotted name of that object, below beamcycle
     stand_in: Callable
     suite: Callable                  # params -> the suite's CheckResults
     check: str                       # the one check that must catch it
@@ -166,9 +170,38 @@ SUITE_MUTANTS = {
 }
 
 
-def run_mutant(params, monkeypatch, name):
-    """Results by check name of mutant ``name``'s suite, run with the mutant in place."""
+def mutant_original(name):
+    """The package object that mutant ``name`` stands in for."""
+    module, attr = SUITE_MUTANTS[name].target.rsplit(".", 1)
+    return getattr(importlib.import_module(f"beamcycle.{module}"), attr)
+
+
+def bindings(obj):
+    """``(module, name)`` of every global of the package's modules bound to ``obj``.
+
+    A module that did ``from .x import y`` holds its own ``y``, so a fault
+    in the source reaches every one of these.
+    """
+    modules = [beamcycle] + [
+        importlib.import_module(f"beamcycle.{info.name}")
+        for info in pkgutil.iter_modules(beamcycle.__path__)
+    ]
+    return [
+        (module, key) for module in modules for key, value in vars(module).items() if value is obj
+    ]
+
+
+@contextlib.contextmanager
+def mutant_in_place(monkeypatch, name):
+    """Mutant ``name`` bound wherever the package binds the object it replaces."""
     mutant = SUITE_MUTANTS[name]
     with monkeypatch.context() as patch:
-        patch.setattr(f"beamcycle.{mutant.target}", mutant.stand_in)
+        for module, key in bindings(mutant_original(name)):
+            patch.setattr(module, key, mutant.stand_in)
+        yield mutant
+
+
+def run_mutant(params, monkeypatch, name):
+    """Results by check name of mutant ``name``'s suite, run with the mutant in place."""
+    with mutant_in_place(monkeypatch, name) as mutant:
         return {r.check_name: r for r in mutant.suite(params)}

@@ -12,6 +12,7 @@ from beamcycle import (
     BaselineConfig,
     avg_power_closed,
     avg_rate_closed,
+    best_upsilon,
     coverage_suite,
     denormalize,
     jensen_check,
@@ -27,11 +28,11 @@ from beamcycle import (
     quadrature_suite,
     rate_and_power,
     rate_slope,
-    slope_root,
     snr_gamma,
     tight_zeta,
 )
 from beamcycle.performance import LN2
+from beamcycle.sweep import trigger_width_branches
 
 from conftest import SUITE_MUTANTS, make_params, run_mutant
 
@@ -101,7 +102,13 @@ def test_criterion_3_slope_machinery():
             assert all(b < a for a, b in zip(values, values[1:])), (budget, n)
             assert rate_slope(lo * (1.0 + 1e-9), n, budget) > 0.0
             assert rate_slope(hi, n, budget) < 0.0
-            residual = abs(rate_slope(slope_root(n, budget), n, budget))
+            ups = best_upsilon(n, budget)
+            slope = rate_slope(ups, n, budget)
+            if ups == trigger_width_branches(n)[1]:
+                # Clamped to the nonnegativity bound, past the root.
+                assert slope <= 1e-6, (budget, n, slope)
+                continue
+            residual = abs(slope)
             worst_root_residual = max(worst_root_residual, residual)
             assert residual <= 1e-6, (budget, n, residual)
     print(
@@ -221,15 +228,11 @@ def test_criterion_6_waterfilling_optimality(params):
 
 def test_criterion_7_figure_trends(params):
     start = time.monotonic()
-    baseline_cfg = BaselineConfig(v_max=params.phi / 2.0)
+    baseline_cfg = BaselineConfig()
 
     def spectral_efficiencies(p, cfg, p_bar_target):
         design = optimize_design(p)
-        matched = BaselineConfig(
-            beamwidth_deg=cfg.beamwidth_deg,
-            v_max=cfg.v_max,
-            p_t=power_for_avg(p, cfg, p_bar_target),
-        )
+        matched = cfg._replace(p_t=power_for_avg(p, cfg, p_bar_target))
         rate_b, _ = rate_and_power(p, matched)
         return design.avg_rate / p.w_tot, rate_b / p.w_tot
 
@@ -250,9 +253,7 @@ def test_criterion_7_figure_trends(params):
     se_speed = []
     for v_max in range(5, 41, 5):
         p = make_params(phi=2.0 * v_max)
-        se, se_b = spectral_efficiencies(
-            p, BaselineConfig(v_max=float(v_max)), params.p_max
-        )
+        se, se_b = spectral_efficiencies(p, baseline_cfg, params.p_max)
         se_speed.append(se)
         assert se_b <= se
         degradations.append(1.0 - se_b / se)

@@ -413,6 +413,18 @@ class TestBaseline:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("pt", [[], ["--pt", "1e-3"]])
+    @pytest.mark.parametrize("phi", ["5e-324", "1e-322"])
+    def test_dwell_overflow_at_tiny_phi_exit_2(self, capsys, tmp_path, phi, pt):
+        # A long microslot keeps delta_s * phi normal, so the run reaches the
+        # baseline, whose dwell time 2 r / phi overflows (a NaN fraction).
+        cfg = tmp_path / "slot.cfg"
+        cfg.write_text("delta_s = 1e300\n")
+        code, out, err = run_cli(capsys, "baseline", "--config", str(cfg), "--phi", phi, *pt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "communication fraction" in err
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("command", ["optimize", "verify", "sweep", "baseline"])
 def test_only_baseline_users_check_its_beam(capsys, tmp_path, command):

@@ -19,10 +19,10 @@ from beamcycle import (
     norm_rate,
     optimize_design,
     rate_slope,
-    slope_root,
     tight_zeta,
 )
 from beamcycle.optimize import (
+    _BRACKET_EPS,
     _MAX_BEAMS_CAP,
     _TOL,
     _ZERO_BUDGET,
@@ -177,10 +177,9 @@ class TestTightZeta:
         lambda b: max_upsilon(2, b),
         lambda b: tight_zeta(10.0, 2, b),
         lambda b: rate_slope(10.0, 2, b),
-        lambda b: slope_root(2, b),
         lambda b: best_upsilon(2, b),
     ],
-    ids=["max_upsilon", "tight_zeta", "rate_slope", "slope_root", "best_upsilon"],
+    ids=["max_upsilon", "tight_zeta", "rate_slope", "best_upsilon"],
 )
 def test_nan_budget_rejected(call):
     # NaN compares false both ways, so only a check written as
@@ -191,10 +190,20 @@ def test_nan_budget_rejected(call):
 
 class TestRateSlope:
     def test_domain(self):
-        with pytest.raises(ValueError):
-            rate_slope(4.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            rate_slope(max_upsilon(2, 1.0) * 1.001, 2, 1.0)
+        # rate_slope checks the shrinkage bound itself and leaves the power
+        # budget to tight_zeta, so both ends are checked at every count and
+        # across the budgets; the bisection's bracket ends must pass.
+        for n in range(2, 13):
+            shrink = trigger_width_branches(n)[0]
+            for budget in (10.0**k for k in range(-12, 7)):
+                where = (n, budget)
+                hi = max_upsilon(n, budget)
+                with pytest.raises(ValueError, match="shrinkage bound"):
+                    rate_slope(shrink, n, budget)
+                with pytest.raises(FeasibilityError):
+                    rate_slope(hi * (1.0 + 1e-9), n, budget)
+                assert rate_slope(shrink * (1.0 + _BRACKET_EPS), n, budget) > 0.0, where
+                assert rate_slope(hi, n, budget) < 0.0, where
 
     @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0, 100.0])
     def test_boundary_signs(self, budget):
@@ -354,18 +363,23 @@ class TestOptimizeDesign:
     @pytest.mark.parametrize("p_max,ceiling", [(1e-4, 700), (1.0, 1400)])
     def test_rate_slope_calls_per_design(self, monkeypatch, p_max, ceiling):
         # A noise-free work ceiling on the closed forms and the scan, where
-        # wall-clock time moves 15-40% between runs: 690 calls at 1e-4 W and
-        # 1364 at 1 W.
-        calls = 0
+        # wall-clock time moves 15-40% between runs: 690 rate_slope calls at
+        # 1e-4 W and 1364 at 1 W. max_upsilon runs once per bisected count
+        # (16 and 25), not once per rate_slope call.
+        calls = {}
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return rate_slope(*args)
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args)
 
-        monkeypatch.setattr(beamcycle.optimize, "rate_slope", counted)
+            return wrapper
+
+        for fn in (rate_slope, max_upsilon):
+            monkeypatch.setattr(beamcycle.optimize, fn.__name__, counted(fn))
         optimize_design(make_params(p_max=p_max))
-        assert 0 < calls <= ceiling
+        assert 0 < calls["rate_slope"] <= ceiling
+        assert 0 < calls["max_upsilon"] <= 30
 
     @pytest.mark.parametrize(
         "p_max,phi",

@@ -69,7 +69,7 @@ class TestRecords:
         with pytest.raises(ValueError, match="p_t must be nonnegative and finite"):
             BaselineConfig()._replace(p_t=math.nan)
         assert params._replace(p_max=2e-3) == make_params(p_max=2e-3)
-        assert BaselineConfig()._replace(v_max=35.0) == BaselineConfig(v_max=35.0)
+        assert BaselineConfig()._replace(beamwidth_deg=12.0) == BaselineConfig(12.0)
         # The CLI sweep builds each point with _replace, so a subnormal drift
         # per microslot is invalid input there too.
         assert main(["sweep", "--axis", "speed", "--values", "5e-324"]) == 2
@@ -93,5 +93,5 @@ class TestRecords:
                 setattr(record, record._fields[0], None)
             with pytest.raises(AttributeError):
                 record.extra = None
-        assert repr(BaselineConfig()) == "BaselineConfig(beamwidth_deg=7.0, v_max=20.0, p_t=1.0)"
-        assert BaselineConfig() == (7.0, 20.0, 1.0)
+        assert repr(BaselineConfig()) == "BaselineConfig(beamwidth_deg=7.0, p_t=1.0)"
+        assert BaselineConfig() == (7.0, 1.0)

@@ -27,7 +27,14 @@ from beamcycle import (
 )
 from beamcycle.sweep import trigger_width_branches
 
-from conftest import SUITE_MUTANTS, make_params, run_mutant
+from conftest import (
+    SUITE_MUTANTS,
+    bindings,
+    make_params,
+    mutant_in_place,
+    mutant_original,
+    run_mutant,
+)
 
 DEFAULT_POINTS = ((2, 8.0), (3, 60.0), (5, 6.0))  # coverage_suite's design points
 COVERAGE_MUTANTS = sorted(
@@ -521,6 +528,18 @@ class TestSuites:
     )
     def test_other_suites_catch_mutant(self, params, monkeypatch, mutant):
         _assert_caught_alone(params, monkeypatch, mutant)
+
+    @pytest.mark.parametrize("mutant", sorted(SUITE_MUTANTS))
+    def test_mutant_replaces_every_binding(self, monkeypatch, mutant):
+        # A mutant stands for a fault in the source only if no module keeps
+        # the original under a name of its own; after the run all come back.
+        original = mutant_original(mutant)
+        before = bindings(original)
+        assert before
+        with mutant_in_place(monkeypatch, mutant) as m:
+            assert bindings(original) == []
+            assert bindings(m.stand_in) == before
+        assert bindings(original) == before
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 99, 505])
     def test_slope_sign_points_match_one_draw_per_point(self, monkeypatch, seed):
