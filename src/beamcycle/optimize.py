@@ -106,13 +106,20 @@ def tight_zeta(upsilon: float, n_beams: int, p_hat_max: float) -> float:
     """Water-level headroom that makes the power constraint tight.
 
     Solves norm_power(n_beams, upsilon, zeta) = p_hat_max for zeta >= 0.
-    Singular at upsilon equal to the post-sweep width (no data phase);
-    negative results mean ``upsilon`` exceeds ``max_upsilon`` and are
-    rejected as infeasible.
+    Singular at the shrinkage bound, where the post-sweep width reaches
+    ``upsilon`` (no data phase): ValueError at or below it. Negative
+    results mean ``upsilon`` exceeds ``max_upsilon`` and are rejected as
+    infeasible.
     """
     if not p_hat_max > 0.0:
         raise ValueError(f"p_hat_max must be positive, got {p_hat_max!r}")
     n = n_beams
+    shrink = trigger_width_branches(n)[0]
+    if upsilon <= shrink:
+        raise ValueError(
+            f"upsilon = {upsilon} at or below the shrinkage bound {shrink}; "
+            f"the power-tight headroom is singular there"
+        )
     u_hat = norm_comm_width(upsilon, n_beams)
     if upsilon <= u_hat:
         raise ValueError(
@@ -144,21 +151,13 @@ def rate_slope(upsilon: float, n_beams: int, p_hat_max: float) -> float:
 
     Positive where widening the trigger width still pays, negative past the
     optimum; strictly decreasing in ``upsilon``. Defined above the shrinkage
-    bound up to ``max_upsilon``: it raises ValueError at or below the bound
-    and leaves the rest of its domain to ``tight_zeta``, which rejects a
-    NaN budget and, as FeasibilityError, an ``upsilon`` past ``max_upsilon``.
+    bound up to ``max_upsilon``; its domain is ``tight_zeta``'s, which
+    raises ValueError at or below the bound and for a NaN budget, and
+    FeasibilityError past ``max_upsilon``.
     """
     n = n_beams
-    shrink = trigger_width_branches(n_beams)[0]
-    # tight_zeta's own check does not cover this: at upsilon = shrink the
-    # post-sweep width rounds one ulp below upsilon for some counts (3, 7
-    # and 12), and tight_zeta returns a huge zeta there instead of raising.
-    if upsilon <= shrink:
-        raise ValueError(
-            f"upsilon = {upsilon} at or below the shrinkage bound {shrink}"
-        )
-    u_hat = norm_comm_width(upsilon, n_beams)
     zeta = tight_zeta(upsilon, n_beams, p_hat_max)
+    u_hat = norm_comm_width(upsilon, n_beams)
     w = upsilon + n / 2.0 - 1.0
     return (
         -(upsilon - u_hat) / (upsilon * (1.0 + zeta)) * ((n - 1.0) * w + 2.0 * n) / (2.0 * n)

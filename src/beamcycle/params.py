@@ -28,6 +28,16 @@ class SystemParams(namedtuple("SystemParams", "w_tot wavelength n0 delta_s d xi 
     A named tuple: immutable, compared and hashed as a plain tuple of the
     eight values. The constructor and ``_replace`` raise ValueError for
     constants outside the accepted domain.
+
+    Where ``verify`` is known to pass, with the other constants at the CLI
+    defaults: every accepted ``phi``, and ``delta_s`` from about 5.6e-310
+    (the smallest whose drift per microslot is a normal float at
+    ``phi = 40``) up to 1e300. Two accepted settings are known to fail
+    cases (exit 1), because a value the quadrature suite compares is past
+    the float range: ``delta_s = 1e-2`` with ``phi = 1.7e308``, where the
+    drawn trigger widths ``u_th`` in metres overflow (188 of 200 cases in
+    each row), and ``w_tot = 1e308``, where the rate in bit/s does (53 of
+    200 rate cases).
     """
 
     __slots__ = ()

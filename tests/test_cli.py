@@ -259,6 +259,14 @@ class TestSweep:
         assert code == 3
 
 
+def _assert_all_pass(code, out, err):
+    """A verify run that exits 0 quietly, with its 7 rows each passing some cases."""
+    assert (code, err) == (0, ""), out
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 7
+    assert all(int(cases) > 0 and failures == "0" for _, cases, failures, _ in rows)
+
+
 class TestVerify:
     def test_ignores_config_budget(self, capsys, tmp_path):
         # verify reads no budget, so one that optimize would take as zero
@@ -279,18 +287,21 @@ class TestVerify:
         assert "sweep_coverage" in names
         assert all(line.split(",")[2] == "0" for line in lines[1:])
 
-    # The closed forms are scale-free, so every suite passes across the
-    # float range of phi; the README states where it ends. Below 1e-300 the
-    # water-filling check's physical gain d*gamma/u would overflow.
+    # The closed forms are scale-free and the oracles work in drift units,
+    # so every suite passes across the float range of phi; the SystemParams
+    # docstring states where verify is known to pass.
     @pytest.mark.parametrize(
         "phi", ["3e-303", "1e-302", "1e-301", "1e-300", "1e-200", "1e200", "1e300", "1.7e308"]
     )
     def test_passes_at_extreme_phi(self, capsys, phi):
-        code, out, err = run_cli(capsys, "verify", "--phi", phi)
-        assert code == 0, out
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert len(rows) == 7
-        assert all(int(cases) > 0 and failures == "0" for _, cases, failures, _ in rows)
+        _assert_all_pass(*run_cli(capsys, "verify", "--phi", phi))
+
+    def test_passes_at_tiny_microslots(self, capsys, tmp_path):
+        # Physical times and powers leave the float range here; the
+        # quadrature oracle's microslots and drift units do not.
+        cfg = tmp_path / "tiny-slots.cfg"
+        cfg.write_text("delta_s = 1e-300\n")
+        _assert_all_pass(*run_cli(capsys, "verify", "--config", str(cfg)))
 
     def test_quadrature_past_the_float_range_is_quiet(self, capsys, tmp_path):
         # The quadrature suite's own design widths overflow here. Its cases
@@ -504,6 +515,15 @@ def test_defaults_match_golden_bytes(capsys, tmp_path, kind):
 
 GOLDEN_TESTS = Path(__file__).resolve().parent / "golden"
 
+# Each verify golden's name, flags and exit code. Regenerate all six (only
+# on purpose, and say why) with::
+#
+#     PYTHONPATH=src python tests/test_cli.py
+VERIFY_GOLDENS = {
+    **{f"verify-seed{seed}": (["--seed", str(seed)], 0) for seed in (0, 3, 7, 99, 505)},
+    "verify-perturb1e-3": (["--perturb-closed-form", "1e-3"], 1),
+}
+
 
 def test_small_verify_matches_golden_bytes(capsys):
     # No benchmark check compares verify's report bytes; this pins them.
@@ -513,16 +533,16 @@ def test_small_verify_matches_golden_bytes(capsys):
 
 
 @pytest.mark.parametrize(
-    "name, argv, expected_code",
-    [(f"verify-seed{seed}", ["--seed", str(seed)], 0) for seed in (3, 7, 99, 505)]
-    + [("verify-perturb1e-3", ["--perturb-closed-form", "1e-3"], 1)],
-    ids=["seed3", "seed7", "seed99", "seed505", "perturb1e-3"],
+    "name", [name for name in VERIFY_GOLDENS if name != "verify-seed0"],
+    ids=lambda name: name.removeprefix("verify-"),
 )
-def test_more_verify_reports_match_golden_bytes(capsys, name, argv, expected_code):
+def test_more_verify_reports_match_golden_bytes(capsys, name):
     # More seeds, and a failing report, each captured before the quadrature
-    # and water-filling oracles were batched into array passes, and
-    # re-captured when the water-filling check moved to drift units, which
-    # moved its residual only.
+    # and water-filling oracles were batched into array passes. Re-captured
+    # when the water-filling check moved to drift units, which moved its
+    # residual only, and when the quadrature oracle did, which moved the
+    # two closed_vs_numeric residuals only.
+    argv, expected_code = VERIFY_GOLDENS[name]
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == expected_code
     assert out.encode() == (GOLDEN_TESTS / f"{name}.csv").read_bytes()
@@ -667,3 +687,8 @@ def test_readme_library_example_runs(capsys):
     n_beams, u_th, efficiency = design_line.split()
     assert int(n_beams) >= 2 and float(u_th) > 0.0 and float(efficiency) > 0.0
     assert schedule_line.startswith("(")
+
+
+if __name__ == "__main__":
+    for name, (argv, _) in VERIFY_GOLDENS.items():
+        main(["verify", *argv, "--out", str(GOLDEN_TESTS / f"{name}.csv")])

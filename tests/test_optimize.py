@@ -151,6 +151,13 @@ class TestTightZeta:
             zeta = tight_zeta(ups, n, budget)
             assert norm_power(n, ups, zeta) == pytest.approx(budget, rel=1e-10)
 
+    @pytest.mark.parametrize("n", range(2, 30))
+    def test_raises_at_the_shrinkage_bound(self, n):
+        # For some counts (3, 7 and 12) the post-sweep width rounds one ulp
+        # below upsilon at the bound, so a check against it alone passes.
+        with pytest.raises(ValueError, match="shrinkage bound"):
+            tight_zeta(trigger_width_branches(n)[0], n, 1.0)
+
     def test_singular_at_comm_width(self):
         with pytest.raises(ValueError, match="singular"):
             tight_zeta(4.0, 2, 1.0)  # upsilon equals the post-sweep width
@@ -190,9 +197,9 @@ def test_nan_budget_rejected(call):
 
 class TestRateSlope:
     def test_domain(self):
-        # rate_slope checks the shrinkage bound itself and leaves the power
-        # budget to tight_zeta, so both ends are checked at every count and
-        # across the budgets; the bisection's bracket ends must pass.
+        # rate_slope leaves its domain to tight_zeta; both ends are checked
+        # at every count and across the budgets, and the bisection's
+        # bracket ends must pass.
         for n in range(2, 13):
             shrink = trigger_width_branches(n)[0]
             for budget in (10.0**k for k in range(-12, 7)):

@@ -529,6 +529,15 @@ class TestSuites:
     def test_other_suites_catch_mutant(self, params, monkeypatch, mutant):
         _assert_caught_alone(params, monkeypatch, mutant)
 
+    @pytest.mark.parametrize(
+        "overrides", [{"phi": 1e-300}, {"delta_s": 1e-300}], ids=["phi1e-300", "delta_s1e-300"]
+    )
+    @pytest.mark.parametrize("mutant", ["power-no-tail", "rate-no-tail"])
+    def test_quadrature_catches_mutant_at_tiny_drift(self, monkeypatch, mutant, overrides):
+        # The oracle integrates in drift units, so its values, and the
+        # cases a fault fails, do not shrink with the drift per microslot.
+        _assert_caught_alone(make_params(**overrides), monkeypatch, mutant)
+
     @pytest.mark.parametrize("mutant", sorted(SUITE_MUTANTS))
     def test_mutant_replaces_every_binding(self, monkeypatch, mutant):
         # A mutant stands for a fault in the source only if no module keeps
