@@ -38,13 +38,17 @@ forms they test:
   points; it calls neither ``tight_zeta`` nor ``norm_rate``, so a fault
   in either shows.
 
-The randomized checks draw from streams seeded by the master seed only.
+The randomized checks draw from ``random.Random(seed)`` of the master
+seed, through its ``random()`` method only, whose sequence Python keeps
+the same for a given seed across versions; numpy's ``Generator`` streams
+carry no such promise. ``numpy.random`` is never imported.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from collections import namedtuple
 from typing import Sequence
 
@@ -324,6 +328,11 @@ def jensen_check(params: SystemParams, n_beams: int, u_th: float, rho: float) ->
 # ---------------------------------------------------------------------------
 
 
+def _uniform(rng: random.Random, a: float, b: float) -> float:
+    """The stream's next draw mapped onto ``[a, b)`` as ``a + (b - a) * u``."""
+    return a + (b - a) * rng.random()
+
+
 # Like jensen_check's grid: an integrand past the float range gives NaN
 # estimates, which fail their cases, so numpy's warnings add nothing.
 @np.errstate(all="ignore")
@@ -341,19 +350,19 @@ def quadrature_suite(
     ``perturb_closed_form`` injects a relative error into the closed-form
     values (fault-injection self-test of this suite).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = random.Random(seed)
     gamma = snr_gamma(params)
     step = params.delta_s * params.phi
     tuples = []
     for j in range(n_tuples):
-        n = int(rng.integers(2, 9))
-        ups = rng.uniform(min_upsilon(n) * (1.0 + 1e-6), 1000.0)
+        n = 2 + int(7 * rng.random())
+        ups = _uniform(rng, min_upsilon(n) * (1.0 + 1e-6), 1000.0)
         u_th = ups * step
         u_c = norm_comm_width(ups, n) * step
         if j % 2 == 0:
-            level = u_c + (u_th - u_c) * rng.uniform(0.05, 0.95)
+            level = u_c + (u_th - u_c) * _uniform(rng, 0.05, 0.95)
         else:
-            level = u_th * rng.uniform(1.05, 3.0)
+            level = u_th * _uniform(rng, 1.05, 3.0)
         tuples.append((n, u_th, level / (params.d * gamma)))
 
     results = []
@@ -450,7 +459,7 @@ def slope_sign_suite(
     The rates come from ``_tight_rate``, one array pass over every point of
     every count; ``rate_slope`` is called, checked, once per point.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = random.Random(seed)
     bound_cases = bound_fail = 0
     draws, counts, levels = [], [], []
     for budget in budgets:
@@ -462,11 +471,11 @@ def slope_sign_suite(
                 bound_fail += 1
             if not rate_slope(hi, n, budget) < 0.0:
                 bound_fail += 1
-            # One draw per count gives the bits of one draw per point.
-            draws.append(rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5), size=n_points))
+            lo, top = shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5)
+            draws.extend(_uniform(rng, lo, top) for _ in range(n_points))
             counts.append(n)
             levels.append(budget)
-    ups = np.concatenate(draws)
+    ups = np.array(draws, dtype=float)
     n_beams = np.repeat(np.array(counts, dtype=np.int64), n_points)
     p_hat = np.repeat(np.array(levels, dtype=float), n_points)
     h = 1e-6 * ups

@@ -144,13 +144,13 @@ SUITE_MUTANTS = {
         _rate_slope_flipped,
         lambda params: slope_sign_suite(),
         "slope_sign",
-        807,
+        790,
     ),
     # The whole verify report, so that every other check is seen to pass.
     # rate_slope and the optimizer see this fault; the slope oracle,
     # _tight_rate, solves the power constraint itself, so it does not.
     "tight-budget": Mutant(
-        "optimize.tight_zeta", _tight_zeta_over_budget, run_all, "slope_sign", 16
+        "optimize.tight_zeta", _tight_zeta_over_budget, run_all, "slope_sign", 9
     ),
     "rising-power": Mutant(
         "validation._waterfilling", _rising_power, run_all, "jensen_waterfilling", 3

@@ -1,5 +1,5 @@
-"""Only verify loads numpy, only --json loads json, and the package's public
-names resolve lazily."""
+"""Only verify loads numpy, and not numpy.random; only --json loads json; and
+the package's public names resolve lazily."""
 
 import ast
 import os
@@ -36,16 +36,32 @@ steps.append((None, [m for m in WATCHED[:2] if m in sys.modules]))
 print(repr(steps))
 """
 
+# A default verify in a fresh interpreter: its exit code, then whether numpy
+# and numpy.random are loaded after it.
+VERIFY = """\
+import contextlib, io, sys
+import beamcycle.cli
 
-def test_design_commands_never_load_numpy(tmp_path):
+with contextlib.redirect_stdout(io.StringIO()):
+    code = beamcycle.cli.main(["verify"])
+print(repr((code, "numpy" in sys.modules, "numpy.random" in sys.modules)))
+"""
+
+
+def _run_fresh(script, *args):
+    """What ``script`` prints, run by a fresh interpreter on this package."""
     src = Path(beamcycle.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert ast.literal_eval(proc.stdout) == [
+    return ast.literal_eval(proc.stdout)
+
+
+def test_design_commands_never_load_numpy(tmp_path):
+    assert _run_fresh(STARTUP, str(tmp_path)) == [
         (0, []),  # optimize
         (0, []),  # sweep
         (0, []),  # sweep --axis speed
@@ -55,6 +71,12 @@ def test_design_commands_never_load_numpy(tmp_path):
         (None, ["numpy", "beamcycle.validation"]),
     ]
     assert {p.name for p in tmp_path.iterdir()} == {"power.csv", "speed.csv"}
+
+
+def test_verify_never_loads_numpy_random():
+    # The suites draw from the standard library's random; numpy.random
+    # alone would add megabytes to a verify's resident memory.
+    assert _run_fresh(VERIFY) == (0, True, False)
 
 
 def test_every_public_name_resolves():

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,10 @@ from beamcycle import (
     max_beams,
     max_upsilon,
     min_upsilon,
+    norm_comm_width,
     norm_rate,
     quadrature_suite,
-    rate_slope,
+    run_all,
     slope_sign_suite,
     snr_gamma,
     tight_zeta,
@@ -552,9 +554,9 @@ class TestSuites:
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 99, 505])
     def test_slope_sign_points_match_one_draw_per_point(self, monkeypatch, seed):
-        # The suite draws each beam count's points in one call; they must be
-        # bit for bit the points of one scalar draw per point, and the oracle
-        # must see each at ups + h, then ups - h.
+        # Each point is one random() of random.Random(seed), in the order of
+        # the budgets and counts, bit for bit; the oracle must see each at
+        # ups + h, then ups - h.
         points = []
         oracle = validation._tight_rate
 
@@ -564,16 +566,56 @@ class TestSuites:
 
         monkeypatch.setattr(validation, "_tight_rate", recorded)
         slope_sign_suite(seed=seed)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = random.Random(seed)
         expected = []
         for budget in (0.1, 1.0, 10.0, 100.0):
             for n in range(2, max_beams(budget) + 1):
                 lo = trigger_width_branches(n)[0] * (1.0 + 1e-5)
                 hi = max_upsilon(n, budget) * (1.0 - 1e-5)
                 for _ in range(50):
-                    ups = rng.uniform(lo, hi)
+                    ups = lo + (hi - lo) * rng.random()
                     expected += [(ups + 1e-6 * ups, n, budget), (ups - 1e-6 * ups, n, budget)]
         assert points == expected
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 99, 505])
+    def test_quadrature_designs_replay_the_stream(self, params, monkeypatch, seed):
+        # Per design, three random() of random.Random(seed): the beam count
+        # as 2 + int(7 u), then upsilon, then the level's fraction of its
+        # range, inside the width range at even j and above it at odd j.
+        designs = []
+        averages = validation._averages
+
+        def recorded(params, tuples, rel_tol):
+            designs.extend(tuples)
+            return averages(params, tuples, rel_tol)
+
+        monkeypatch.setattr(validation, "_averages", recorded)
+        quadrature_suite(params, seed=seed)
+        rng = random.Random(seed)
+        step = params.delta_s * params.phi
+        expected = []
+        for j in range(200):
+            n = 2 + int(7 * rng.random())
+            lo = min_upsilon(n) * (1.0 + 1e-6)
+            ups = lo + (1000.0 - lo) * rng.random()
+            u_th = ups * step
+            u_c = norm_comm_width(ups, n) * step
+            if j % 2 == 0:
+                level = u_c + (u_th - u_c) * (0.05 + (0.95 - 0.05) * rng.random())
+            else:
+                level = u_th * (1.05 + (3.0 - 1.05) * rng.random())
+            expected.append((n, u_th, _rho_for_level(params, level)))
+        assert designs == expected
+        assert {n for n, _, _ in designs} == set(range(2, 9))
+
+    def test_run_all_passes_at_drawn_seeds(self, params):
+        # A stream that drew a design or point where the oracles disagree
+        # would fail here, not only in a sweep over many seeds.
+        rng = random.Random(1)
+        for _ in range(30):
+            seed = rng.randrange(2**31)
+            failed = [r for r in run_all(params, seed=seed) if not r.passed]
+            assert failed == [], seed
 
     def test_slope_sign_suite_passes(self):
         for result in slope_sign_suite(budgets=(0.5, 5.0), n_points=10, seed=6):
@@ -591,9 +633,11 @@ def _slope_sign_scalar(budgets=(0.1, 1.0, 10.0, 100.0), n_points=50, seed=0):
     """slope_sign_suite with its rates from norm_rate of tight_zeta, point by point.
 
     The scalar loop that the suite's array oracle replaced, kept as its
-    reference.
+    reference. It draws each point as the suite does, and checks the suite's
+    own binding of ``rate_slope``, so a stand-in put in its place reaches
+    both.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = random.Random(seed)
     sign_cases = sign_fail = 0
     bound_cases = bound_fail = 0
     worst = 0.0
@@ -602,12 +646,13 @@ def _slope_sign_scalar(budgets=(0.1, 1.0, 10.0, 100.0), n_points=50, seed=0):
             shrink = trigger_width_branches(n)[0]
             hi = max_upsilon(n, budget)
             bound_cases += 2
-            if not rate_slope(shrink * (1.0 + 1e-9), n, budget) > 0.0:
+            if not validation.rate_slope(shrink * (1.0 + 1e-9), n, budget) > 0.0:
                 bound_fail += 1
-            if not rate_slope(hi, n, budget) < 0.0:
+            if not validation.rate_slope(hi, n, budget) < 0.0:
                 bound_fail += 1
-            draws = rng.uniform(shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5), size=n_points)
-            for ups in draws.tolist():
+            lo, top = shrink * (1.0 + 1e-5), hi * (1.0 - 1e-5)
+            for _ in range(n_points):
+                ups = lo + (top - lo) * rng.random()
                 h = 1e-6 * ups
                 rp = norm_rate(n, ups + h, tight_zeta(ups + h, n, budget))
                 rm = norm_rate(n, ups - h, tight_zeta(ups - h, n, budget))
@@ -615,7 +660,7 @@ def _slope_sign_scalar(budgets=(0.1, 1.0, 10.0, 100.0), n_points=50, seed=0):
                 if abs(fd) <= 1e-9:
                     continue
                 sign_cases += 1
-                value = rate_slope(ups, n, budget)
+                value = validation.rate_slope(ups, n, budget)
                 if math.copysign(1.0, fd) != math.copysign(1.0, value):
                     sign_fail += 1
                     worst = max(worst, abs(fd))
@@ -644,7 +689,7 @@ class TestSlopeOracle:
             worst = max(worst, float(np.max(np.abs(oracle - scalar) / scalar)))
         assert worst <= 1e-13
 
-    def test_suite_matches_scalar_reference(self):
+    def test_suite_matches_scalar_reference(self, monkeypatch):
         # The oracle rounds differently from norm_rate, but no sign, skip
         # or worst residual moves: the results are equal at every seed.
         for seed in range(50):
@@ -652,6 +697,19 @@ class TestSlopeOracle:
         for seed in (1, 2):
             kwargs = dict(budgets=(0.5, 5.0, 1e3), n_points=10, seed=seed)
             assert slope_sign_suite(**kwargs) == _slope_sign_scalar(**kwargs), seed
+        # A correct rate_slope passes whatever points either side draws, so
+        # only a faulty one, failing about half the points, shows that both
+        # sides drew the same points. Its worst residual is a finite
+        # difference itself, so the two oracles' rounding shows in it.
+        with mutant_in_place(monkeypatch, "rate-slope"):
+            for seed in range(5):
+                (sign, bounds), (ref_sign, ref_bounds) = (
+                    slope_sign_suite(seed=seed), _slope_sign_scalar(seed=seed)
+                )
+                assert bounds == ref_bounds, seed
+                assert (sign.n_cases, sign.n_failures) == (ref_sign.n_cases, ref_sign.n_failures)
+                assert 0 < sign.n_failures < sign.n_cases, seed
+                assert sign.worst_residual == pytest.approx(ref_sign.worst_residual, rel=1e-8)
 
     def test_default_work_counts(self, monkeypatch):
         # 1500 interior points and 60 boundary ends, each one checked
